@@ -9,6 +9,9 @@
 //!   input bytes exactly (the JSON dialect is shortest-round-trip floats
 //!   with a fixed escape set), and every line is also valid in the
 //!   simulator's own `Json` dialect.
+//! * The JSONL and chrome://tracing bytes of one traced cell match
+//!   **recorded fixtures**, so a drift in the JSON dialect between commits
+//!   fails here, not just a drift between two runs of one build.
 //! * Every trace is a **well-formed span forest**: no self-parents, no
 //!   cycles, parents recorded before children, stable re-parenting.
 //! * The ring sink keeps million-job runs **bounded**: retained events
@@ -18,7 +21,15 @@
 
 use proptest::prelude::*;
 use rtds::scenarios::{find_scenario, mix_seed, parallel_sweep_sharded, run_cell_traced, Json};
-use rtds::trace::{check_well_formed, read_jsonl};
+use rtds::trace::{check_well_formed, chrome_trace, read_jsonl, render_jsonl_with_header};
+
+/// `run_cell_traced(paper-baseline, seed 1, ring capacity 128)`, recorded
+/// before the trace writers moved onto the shared `json` module.
+const PAPER_BASELINE_TRACE: &str =
+    include_str!("fixtures/trace_paper_baseline_seed1_ring128.jsonl");
+/// `chrome_trace` over the events of [`PAPER_BASELINE_TRACE`].
+const PAPER_BASELINE_CHROME: &str =
+    include_str!("fixtures/trace_paper_baseline_seed1_ring128.chrome.json");
 
 /// One small sweep's worth of traced cells, rendered and concatenated in
 /// input order. `capacity` bounds each cell's ring.
@@ -46,12 +57,31 @@ fn jsonl_documents_are_byte_identical_across_thread_counts() {
 }
 
 #[test]
+fn traced_cell_reproduces_the_recorded_fixture_bytes() {
+    let scenario = find_scenario("paper-baseline").unwrap();
+    let (_cell, document) = run_cell_traced(&scenario, 1, 128);
+    assert_eq!(document, PAPER_BASELINE_TRACE, "JSONL bytes drifted");
+    let (header, events) = read_jsonl(PAPER_BASELINE_TRACE).expect("fixture parses");
+    assert_eq!(events.len(), 128);
+    assert_eq!(
+        render_jsonl_with_header(&header, &events),
+        PAPER_BASELINE_TRACE,
+        "parse → re-render of the fixture is not a fixpoint"
+    );
+    assert_eq!(
+        chrome_trace(&events),
+        PAPER_BASELINE_CHROME,
+        "chrome bytes drifted"
+    );
+}
+
+#[test]
 fn recorded_documents_round_trip_byte_for_byte() {
     let scenario = find_scenario("overload-burst").unwrap();
     let (_cell, document) = run_cell_traced(&scenario, 7, 8192);
     let (header, events) = read_jsonl(&document).expect("our own rendering parses");
     assert!(!events.is_empty());
-    let rerendered = rtds::trace::render_jsonl_with_header(&header, &events);
+    let rerendered = render_jsonl_with_header(&header, &events);
     assert_eq!(document, rerendered, "parse → re-render must be a fixpoint");
     // Dialect compatibility: every line is also a valid document in the
     // simulator's own JSON dialect (tooling can use either parser).
