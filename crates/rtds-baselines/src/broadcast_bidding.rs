@@ -26,7 +26,7 @@ use rtds_graph::Job;
 use rtds_net::dijkstra::shortest_paths;
 use rtds_net::{Network, SiteId};
 use rtds_sched::executor;
-use rtds_sched::{ProtocolScheduler, SchedulePlan, Scheduler, SiteResources};
+use rtds_sched::{SchedulePlan, Scheduler, SchedulerKind, SiteResources, SiteScheduler};
 use serde::{Deserialize, Serialize};
 
 /// Parameters of the broadcast-bidding policy.
@@ -57,10 +57,11 @@ pub fn run_broadcast_bidding(
     config: BiddingConfig,
 ) -> PolicyReport {
     let n = network.site_count();
-    let mut scheds: Vec<ProtocolScheduler> = network
+    let mut scheds: Vec<SiteScheduler> = network
         .sites()
         .map(|s| {
-            ProtocolScheduler::new(
+            SiteScheduler::new(
+                SchedulerKind::Protocol,
                 SiteResources::default(),
                 network.speed(s),
                 config.preemptive,

@@ -15,16 +15,25 @@ use rtds_net::dijkstra::all_pairs_shortest_paths;
 use rtds_net::{Network, SiteId};
 use rtds_sched::admission::priority_order;
 use rtds_sched::executor;
-use rtds_sched::{ProtocolScheduler, Reservation, SchedulePlan, Scheduler, SiteResources};
+use rtds_sched::{
+    Reservation, SchedulePlan, Scheduler, SchedulerKind, SiteResources, SiteScheduler,
+};
 
 /// Runs the centralized oracle over a workload.
 pub fn run_centralized_oracle(network: &Network, jobs: &[Job], preemptive: bool) -> PolicyReport {
     let aps = all_pairs_shortest_paths(network);
     // Committed state lives in one single-core protocol scheduler per site;
     // the multi-site split explores scratch copies of their exact plans.
-    let mut scheds: Vec<ProtocolScheduler> = network
+    let mut scheds: Vec<SiteScheduler> = network
         .sites()
-        .map(|s| ProtocolScheduler::new(SiteResources::default(), network.speed(s), preemptive))
+        .map(|s| {
+            SiteScheduler::new(
+                SchedulerKind::Protocol,
+                SiteResources::default(),
+                network.speed(s),
+                preemptive,
+            )
+        })
         .collect();
     let mut report = PolicyReport::default();
     let mut ordered: Vec<&Job> = jobs.iter().collect();

@@ -9,7 +9,7 @@ use crate::policy::PolicyReport;
 use rtds_graph::Job;
 use rtds_net::{Network, SiteId};
 use rtds_sched::executor;
-use rtds_sched::{ProtocolScheduler, SchedulePlan, Scheduler, SiteResources};
+use rtds_sched::{SchedulePlan, Scheduler, SchedulerKind, SiteResources, SiteScheduler};
 
 /// Runs the local-only policy over a workload.
 ///
@@ -17,9 +17,16 @@ use rtds_sched::{ProtocolScheduler, SchedulePlan, Scheduler, SiteResources};
 /// offered only to its arrival site. Every site runs a single-core protocol
 /// [`Scheduler`], which delegates verbatim to the paper's admission test.
 pub fn run_local_only(network: &Network, jobs: &[Job], preemptive: bool) -> PolicyReport {
-    let mut scheds: Vec<ProtocolScheduler> = network
+    let mut scheds: Vec<SiteScheduler> = network
         .sites()
-        .map(|s| ProtocolScheduler::new(SiteResources::default(), network.speed(s), preemptive))
+        .map(|s| {
+            SiteScheduler::new(
+                SchedulerKind::Protocol,
+                SiteResources::default(),
+                network.speed(s),
+                preemptive,
+            )
+        })
         .collect();
     let mut report = PolicyReport::default();
     let mut ordered: Vec<&Job> = jobs.iter().collect();

@@ -13,7 +13,7 @@ use rand::rngs::StdRng;
 use rtds_graph::Job;
 use rtds_net::{Network, SiteId};
 use rtds_sched::executor;
-use rtds_sched::{ProtocolScheduler, SchedulePlan, Scheduler, SiteResources};
+use rtds_sched::{SchedulePlan, Scheduler, SchedulerKind, SiteResources, SiteScheduler};
 use serde::{Deserialize, Serialize};
 
 /// Parameters of the random-offload policy.
@@ -44,10 +44,11 @@ pub fn run_random_offload(
     config: RandomOffloadConfig,
 ) -> PolicyReport {
     let mut rng = StdRng::seed_from_u64(config.seed);
-    let mut scheds: Vec<ProtocolScheduler> = network
+    let mut scheds: Vec<SiteScheduler> = network
         .sites()
         .map(|s| {
-            ProtocolScheduler::new(
+            SiteScheduler::new(
+                SchedulerKind::Protocol,
                 SiteResources::default(),
                 network.speed(s),
                 config.preemptive,

@@ -200,28 +200,6 @@ impl NodeBuilder {
 }
 
 impl RtdsNode {
-    /// Creates the node for `site` with the given adjacency, speed and
-    /// configuration.
-    #[deprecated(
-        since = "0.10.0",
-        note = "use NodeBuilder: positional arguments cannot absorb new site \
-                parameters such as SiteResources"
-    )]
-    pub fn new(
-        site: SiteId,
-        neighbors: Vec<(SiteId, f64)>,
-        speed: f64,
-        config: RtdsConfig,
-        global_distances: Option<GlobalDistances>,
-    ) -> Self {
-        NodeBuilder::new(site)
-            .neighbors(neighbors)
-            .speed(speed)
-            .config(config)
-            .global_distances(global_distances)
-            .build()
-    }
-
     /// The site this node runs on.
     pub fn site(&self) -> SiteId {
         self.site
@@ -1335,26 +1313,6 @@ mod tests {
             .resources(SiteResources::single_core(2.0))
             .build();
         assert_eq!(node.effective_speed(), 5.0);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_constructor_matches_the_builder() {
-        let net = line(3, DelayDistribution::Constant(1.0), 0);
-        let old = RtdsNode::new(
-            SiteId(1),
-            net.neighbors(SiteId(1)).to_vec(),
-            2.0,
-            RtdsConfig::default(),
-            None,
-        );
-        let new = NodeBuilder::new(SiteId(1))
-            .neighbors(net.neighbors(SiteId(1)).to_vec())
-            .speed(2.0)
-            .config(RtdsConfig::default())
-            .build();
-        assert_eq!(old.site(), new.site());
-        assert_eq!(old.scheduler(), new.scheduler());
     }
 
     #[test]

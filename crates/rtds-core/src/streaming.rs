@@ -498,6 +498,11 @@ impl RtdsSystem {
     /// identically) and continues from the serialized look-ahead job, so the
     /// source must be deterministic — which every `rtds-workload` generator
     /// and trace replayer is.
+    ///
+    /// Errors, rather than panicking or spinning, on a malformed document,
+    /// on a pull count other than one ahead of the injected jobs, on a
+    /// buffered job at a site the network lacks, and on a source that yields
+    /// fewer jobs than the paused run pulled.
     pub fn resume_streaming(
         text: &str,
         source: &mut dyn JobSource,
@@ -519,11 +524,32 @@ impl RtdsSystem {
             job => Some(snap::decode_job(job)?),
         };
         let mut st = decode_harvest(sim_snap::get(&doc, "harvest")?)?;
+        if pulls.checked_sub(1) != Some(st.injected) {
+            return Err(SnapshotError(format!(
+                "stream checkpoint pulls {pulls} jobs but injected {}; the paused run \
+                 pulls one job ahead of what it injects",
+                st.injected
+            )));
+        }
         let mut system = RtdsSystem::resume_doc(sim_snap::get(&doc, "system")?)?;
+        let site_count = system.network().site_count();
+        if let Some(job) = buffered.as_ref().filter(|j| j.arrival_site >= site_count) {
+            return Err(SnapshotError(format!(
+                "buffered job {} arrives at site {} of a {site_count}-site network",
+                job.id.0, job.arrival_site
+            )));
+        }
         // Fast-forward the fresh source past everything the paused run
         // pulled (the one-ahead look-ahead plus one pull per injected job).
-        for _ in 0..pulls {
-            source.next_job();
+        // Every pull but a final look-ahead that found the source exhausted
+        // must yield a job.
+        let yielded = st.injected + u64::from(buffered.is_some());
+        for pulled in 0..pulls {
+            if source.next_job().is_none() && pulled < yielded {
+                return Err(SnapshotError(format!(
+                    "job source ran out after {pulled} jobs; the paused run pulled {yielded}"
+                )));
+            }
         }
         let paused = system.drive_streaming(source, &options, &mut st, &mut buffered, None);
         debug_assert!(!paused, "no pause requested");

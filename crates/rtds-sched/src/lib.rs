@@ -49,8 +49,7 @@ pub use interval::TimeInterval;
 pub use plan::{PlanError, Reservation, SchedulePlan};
 pub use resources::{SiteResources, SpeedupFn, TaskDemand};
 pub use scheduler::{
-    brute_force_satisfiable, heft_upward_rank, CoreId, DagSchedule, HeftScheduler,
-    LookaheadScheduler, MemHold, Placement, ProtocolScheduler, Scheduler, SchedulerKind,
-    SiteScheduler,
+    brute_force_satisfiable, heft_upward_rank, CoreId, DagSchedule, MemHold, Placement, Scheduler,
+    SchedulerKind, SiteScheduler,
 };
 pub use surplus::{busyness, surplus};

@@ -4,22 +4,23 @@
 //! idea; `rtds-core` and every baseline used to call the single-plan
 //! primitives ([`crate::admission`], [`crate::feasibility`]) directly. This
 //! module extracts that decision behind the [`Scheduler`] trait over a
-//! multicore [`SiteResources`] bundle, with three implementations:
+//! multicore [`SiteResources`] bundle, implemented by [`SiteScheduler`] in
+//! three [`SchedulerKind`] policies:
 //!
-//! * [`ProtocolScheduler`] — the paper's §5/§12 critical-path list
+//! * `Protocol` — the paper's §5/§12 critical-path list
 //!   scheduler, generalised to place each task on the core with the
 //!   earliest fit. On the degenerate single-core bundle it *delegates
 //!   verbatim* to [`admit_dag_locally`] and [`feasibility::satisfiable`],
 //!   so every pre-multicore report stays byte-identical.
-//! * [`HeftScheduler`] — HEFT-style list scheduling (Topcuoglu et al.):
+//! * `Heft` — HEFT-style list scheduling (Topcuoglu et al.):
 //!   tasks ordered by communication-inclusive upward rank, each placed on
 //!   the core minimising its earliest finish time (insertion-based EFT).
-//! * [`LookaheadScheduler`] — the one-step lookahead variant: a task's core
+//! * `Lookahead` — the one-step lookahead variant: a task's core
 //!   is chosen to minimise the worst earliest finish time of its *children*
 //!   given the tentative placement (ties broken by own EFT, then core id).
 //!
 //! All three share the same mechanics (per-core [`SchedulePlan`]s, gang
-//! fits for multi-core task demands, a memory ledger) via the concrete
+//! fits for multi-core task demands, a memory ledger) in the one concrete
 //! [`SiteScheduler`], which is also what the protocol node stores — being a
 //! plain enum-dispatched struct it stays `Clone + PartialEq` and snapshots
 //! cleanly (`rtds-sched-snapshot/1`, encoded by `rtds-core`).
@@ -816,99 +817,6 @@ impl Scheduler for SiteScheduler {
     }
 }
 
-macro_rules! newtype_scheduler {
-    ($(#[$doc:meta])* $name:ident, $kind:expr) => {
-        $(#[$doc])*
-        #[derive(Debug, Clone, PartialEq)]
-        pub struct $name(SiteScheduler);
-
-        impl $name {
-            /// Creates an empty scheduler over the given resources.
-            pub fn new(resources: SiteResources, base_speed: f64, preemptive: bool) -> Self {
-                $name(SiteScheduler::new($kind, resources, base_speed, preemptive))
-            }
-        }
-
-        impl Scheduler for $name {
-            fn kind(&self) -> SchedulerKind {
-                self.0.kind()
-            }
-            fn resources(&self) -> &SiteResources {
-                self.0.resources()
-            }
-            fn core_plans(&self) -> &[SchedulePlan] {
-                self.0.core_plans()
-            }
-            fn admit_dag(
-                &self,
-                job: &Job,
-                now: f64,
-                demands: Option<&[TaskDemand]>,
-            ) -> Option<DagSchedule> {
-                self.0.admit_dag(job, now, demands)
-            }
-            fn satisfiable(&self, requests: &[TaskRequest]) -> Option<Vec<Placement>> {
-                self.0.satisfiable(requests)
-            }
-            fn reserve(&mut self, placements: &[Placement]) -> Result<(), PlanError> {
-                self.0.reserve(placements)
-            }
-            fn reserve_dag(&mut self, schedule: &DagSchedule) -> Result<(), PlanError> {
-                self.0.reserve_dag(schedule)
-            }
-            fn release(&mut self, job: JobId) -> usize {
-                self.0.release(job)
-            }
-            fn earliest_finish(
-                &self,
-                release: f64,
-                deadline: f64,
-                duration: f64,
-            ) -> Option<(CoreId, f64)> {
-                self.0.earliest_finish(release, deadline, duration)
-            }
-            fn surplus(&self, now: f64, window: f64) -> f64 {
-                self.0.surplus(now, window)
-            }
-            fn drain_completed(&mut self, cutoff: f64) -> Vec<Placement> {
-                self.0.drain_completed(cutoff)
-            }
-            fn job_completion(&self, job: JobId) -> Option<f64> {
-                self.0.job_completion(job)
-            }
-            fn reservation_count(&self) -> usize {
-                self.0.reservation_count()
-            }
-            fn busy_cores(&self, t: f64) -> usize {
-                self.0.busy_cores(t)
-            }
-            fn mem_used(&self, t: f64) -> f64 {
-                self.0.mem_used(t)
-            }
-        }
-    };
-}
-
-newtype_scheduler!(
-    /// The paper's §5/§12 critical-path list scheduler, multicore-
-    /// generalised (earliest-fit core choice). Single-core with default
-    /// demands delegates verbatim to the original single-plan primitives.
-    ProtocolScheduler,
-    SchedulerKind::Protocol
-);
-newtype_scheduler!(
-    /// HEFT-style list scheduling: communication-inclusive upward-rank
-    /// order, insertion-based earliest-finish-time core choice.
-    HeftScheduler,
-    SchedulerKind::Heft
-);
-newtype_scheduler!(
-    /// One-step lookahead: a task's core minimises the worst child EFT
-    /// under the tentative placement.
-    LookaheadScheduler,
-    SchedulerKind::Lookahead
-);
-
 /// Exact brute-force feasibility oracle for *non-preemptive, single-core*
 /// request sets on a multicore plan: tries every assignment of requests to
 /// cores and every per-core placement order, placing greedily at the
@@ -1014,7 +922,12 @@ mod tests {
 
     #[test]
     fn single_core_protocol_delegates_verbatim() {
-        let sched = ProtocolScheduler::new(SiteResources::single_core(1.5), 2.0, false);
+        let sched = SiteScheduler::new(
+            SchedulerKind::Protocol,
+            SiteResources::single_core(1.5),
+            2.0,
+            false,
+        );
         let job = job_from(chain(&[6.0, 9.0]), 0.0, 20.0);
         let via_trait = sched.admit_dag(&job, 0.0, None).unwrap();
         let direct = admit_dag_locally(&SchedulePlan::new(), &job, 0.0, 3.0, false).unwrap();
@@ -1066,9 +979,19 @@ mod tests {
         // core, trivial on two.
         let graph = TaskGraph::from_costs(&[8.0, 8.0]);
         let job = job_from(graph, 0.0, 10.0);
-        let single = ProtocolScheduler::new(SiteResources::default(), 1.0, false);
+        let single = SiteScheduler::new(
+            SchedulerKind::Protocol,
+            SiteResources::default(),
+            1.0,
+            false,
+        );
         assert!(single.admit_dag(&job, 0.0, None).is_none());
-        let dual = ProtocolScheduler::new(SiteResources::multicore(2, 1.0), 1.0, false);
+        let dual = SiteScheduler::new(
+            SchedulerKind::Protocol,
+            SiteResources::multicore(2, 1.0),
+            1.0,
+            false,
+        );
         let schedule = dual.admit_dag(&job, 0.0, None).unwrap();
         assert_eq!(schedule.completion, 8.0);
         let cores: std::collections::BTreeSet<CoreId> =
@@ -1085,7 +1008,12 @@ mod tests {
             memory: 0.0,
             speedup: crate::resources::SpeedupFn::Linear,
         }];
-        let sched = ProtocolScheduler::new(SiteResources::multicore(2, 1.0), 1.0, false);
+        let sched = SiteScheduler::new(
+            SchedulerKind::Protocol,
+            SiteResources::multicore(2, 1.0),
+            1.0,
+            false,
+        );
         let schedule = sched.admit_dag(&job, 0.0, Some(&demands)).unwrap();
         // Linear speedup on 2 cores: 8 / 2 = 4 units, on both cores.
         assert_eq!(schedule.placements.len(), 2);
@@ -1109,7 +1037,7 @@ mod tests {
     fn memory_capacity_rejects_oversubscription() {
         let mut resources = SiteResources::multicore(2, 1.0);
         resources.memory = 3.0;
-        let sched = ProtocolScheduler::new(resources, 1.0, false);
+        let sched = SiteScheduler::new(SchedulerKind::Protocol, resources, 1.0, false);
         let graph = TaskGraph::from_costs(&[5.0, 5.0]);
         let job = job_from(graph, 0.0, 30.0);
         let fits = vec![

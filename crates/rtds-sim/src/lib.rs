@@ -22,8 +22,9 @@
 //!   run length is bounded by time, not by how many arrivals fit in memory
 //!   (the open-loop generators live in the `rtds-workload` crate),
 //! * [`json`] is the deterministic hand-rolled JSON layer behind every
-//!   report and workload trace (the workspace `serde` is an offline no-op
-//!   stub),
+//!   report, snapshot and trace (the workspace `serde` is an offline no-op
+//!   stub); it lives in the dependency-free `rtds-trace` crate as
+//!   `rtds_trace::json` and is re-exported here,
 //! * [`faults`] injects timed perturbations beyond the paper's base model
 //!   (link latency jitter, bandwidth brownouts, link failure/recovery, site
 //!   crash/recovery, probabilistic message loss) for the §13
@@ -60,12 +61,13 @@ pub mod engine;
 pub mod event;
 pub mod faults;
 pub(crate) mod flow;
-pub mod json;
 pub mod metrics_json;
 pub mod queue;
 pub mod snapshot;
 pub mod stats;
 pub mod trace;
+
+pub use rtds_trace::json;
 
 pub use arrivals::{ArrivalProcess, ArrivalSchedule};
 pub use engine::{ArrivalSource, Context, EngineProfile, Protocol, Simulator, EVENT_CLASS_NAMES};

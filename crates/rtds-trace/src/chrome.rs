@@ -9,35 +9,16 @@
 //! track (`tid`) is the recording site; `pid` is always 0.
 //!
 //! The output is deterministic: spans appear in first-observation order and
-//! every number uses the same shortest-round-trip float format as the JSONL
-//! writer, so two exports of the same trace are byte-identical.
+//! floats and payload fields go through the same [`crate::json`] scalar
+//! writers as the JSONL lines, so two exports of the same trace are
+//! byte-identical.
 
-use crate::event::{Arg, TraceEvent};
+use crate::event::TraceEvent;
+use crate::json::write_f64;
+use crate::jsonl::write_arg_field;
 use crate::span::SpanId;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-
-fn write_f64(out: &mut String, x: f64) {
-    if x.is_finite() {
-        let _ = write!(out, "{x:?}");
-    } else {
-        out.push_str("null");
-    }
-}
-
-fn write_arg(out: &mut String, arg: Arg) {
-    match arg {
-        Arg::U64(u) => {
-            let _ = write!(out, "{u}");
-        }
-        Arg::F64(x) => write_f64(out, x),
-        Arg::Str(s) => {
-            // Wire names are static identifiers with nothing to escape.
-            let _ = write!(out, "\"{s}\"");
-        }
-        Arg::Bool(b) => out.push_str(if b { "true" } else { "false" }),
-    }
-}
 
 struct SpanExtent {
     name: &'static str,
@@ -117,10 +98,9 @@ pub fn chrome_trace(events: &[TraceEvent]) -> String {
             ",\"args\":{{\"span\":{},\"parent\":{}",
             event.span.0, event.parent.0
         );
-        event.payload.for_each_arg(&mut |name, arg| {
-            let _ = write!(out, ",\"{name}\":");
-            write_arg(&mut out, arg);
-        });
+        event
+            .payload
+            .for_each_arg(&mut |name, arg| write_arg_field(&mut out, name, arg));
         out.push_str("}}");
     }
     out.push_str("],\"displayTimeUnit\":\"ms\"}");

@@ -1,9 +1,10 @@
 //! The `rtds-trace/1` JSONL wire format.
 //!
-//! One JSON object per line, in the same hand-rolled deterministic dialect as
-//! `rtds_sim::json` (shortest-round-trip floats via `{:?}`, non-finite floats
-//! as `null`, minimal escapes, compact objects, insertion-ordered keys). The
-//! first line is a self-contained header:
+//! One JSON object per line, in the deterministic dialect of [`crate::json`]
+//! (shortest-round-trip floats via `{:?}`, non-finite floats as `null`,
+//! minimal escapes, compact objects, insertion-ordered keys): lines stream
+//! through its scalar writers and parse with [`Json::parse`]. The first line
+//! is a self-contained header:
 //!
 //! ```text
 //! {"schema":"rtds-trace/1","scenario":"paper-baseline","seed":42}
@@ -20,9 +21,9 @@
 //! byte fixpoint — mirroring the `rtds-workload-trace/1` design.
 
 use crate::event::{Arg, DeferReason, RejectReason, TraceEvent, TracePayload};
+use crate::json::{write_escaped, write_f64, Json};
 use crate::span::SpanId;
 use std::fmt::Write as _;
-use std::io::BufRead;
 
 /// Schema tag written into (and required in) every trace header.
 pub const TRACE_SCHEMA: &str = "rtds-trace/1";
@@ -40,48 +41,30 @@ pub enum Value {
     Bool(bool),
 }
 
-// ---------------------------------------------------------------------------
-// Writer — byte-for-byte the rtds_sim::json compact dialect.
-// ---------------------------------------------------------------------------
-
-fn write_f64(out: &mut String, x: f64) {
-    if x.is_finite() {
-        let _ = write!(out, "{x:?}");
-    } else {
-        out.push_str("null");
-    }
-}
-
-fn write_escaped(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-}
-
-fn write_str(out: &mut String, s: &str) {
-    out.push('"');
-    write_escaped(out, s);
-    out.push('"');
-}
-
 fn write_value(out: &mut String, value: &Value) {
     match value {
         Value::U64(u) => {
             let _ = write!(out, "{u}");
         }
         Value::F64(x) => write_f64(out, *x),
-        Value::Str(s) => write_str(out, s),
+        Value::Str(s) => write_escaped(out, s),
         Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+    }
+}
+
+/// Appends one payload field as `,"name":value` — shared with the chrome
+/// exporter's `args`.
+pub(crate) fn write_arg_field(out: &mut String, name: &str, arg: Arg) {
+    out.push(',');
+    write_escaped(out, name);
+    out.push(':');
+    match arg {
+        Arg::U64(u) => {
+            let _ = write!(out, "{u}");
+        }
+        Arg::F64(x) => write_f64(out, x),
+        Arg::Str(s) => write_escaped(out, s),
+        Arg::Bool(b) => out.push_str(if b { "true" } else { "false" }),
     }
 }
 
@@ -89,12 +72,11 @@ fn write_value(out: &mut String, value: &Value) {
 /// first, then `metadata` in the given order.
 pub fn header_line(metadata: &[(&str, Value)]) -> String {
     let mut out = String::with_capacity(64);
-    out.push_str("{\"schema\":\"");
-    out.push_str(TRACE_SCHEMA);
-    out.push('"');
+    out.push_str("{\"schema\":");
+    write_escaped(&mut out, TRACE_SCHEMA);
     for (key, value) in metadata {
         out.push(',');
-        write_str(&mut out, key);
+        write_escaped(&mut out, key);
         out.push(':');
         write_value(&mut out, value);
     }
@@ -106,24 +88,15 @@ pub fn header_line(metadata: &[(&str, Value)]) -> String {
 pub fn write_event_line(out: &mut String, event: &TraceEvent) {
     out.push_str("{\"t\":");
     write_f64(out, event.time);
-    let _ = write!(out, ",\"site\":{}", event.site);
-    let _ = write!(out, ",\"span\":{}", event.span.0);
-    let _ = write!(out, ",\"parent\":{}", event.parent.0);
-    out.push_str(",\"kind\":");
-    write_str(out, event.kind());
-    event.payload.for_each_arg(&mut |name, arg| {
-        out.push(',');
-        write_str(out, name);
-        out.push(':');
-        match arg {
-            Arg::U64(u) => {
-                let _ = write!(out, "{u}");
-            }
-            Arg::F64(x) => write_f64(out, x),
-            Arg::Str(s) => write_str(out, s),
-            Arg::Bool(b) => out.push_str(if b { "true" } else { "false" }),
-        }
-    });
+    let _ = write!(
+        out,
+        ",\"site\":{},\"span\":{},\"parent\":{},\"kind\":",
+        event.site, event.span.0, event.parent.0
+    );
+    write_escaped(out, event.kind());
+    event
+        .payload
+        .for_each_arg(&mut |name, arg| write_arg_field(out, name, arg));
     out.push('}');
 }
 
@@ -146,34 +119,22 @@ pub fn render_jsonl_with_header(header: &str, events: &[TraceEvent]) -> String {
     out
 }
 
-// ---------------------------------------------------------------------------
-// Parser — strict, flat, order-preserving.
-// ---------------------------------------------------------------------------
+/// One parsed line with typed field reads as strict as the writer: an
+/// integer field takes only an unsigned-integer token, a float field also
+/// takes an integer token and maps `null` (a non-finite float) to NaN.
+struct Line(Json);
 
-/// A parsed scalar field value.
-#[derive(Debug, Clone, PartialEq)]
-enum Scalar {
-    UInt(u64),
-    Num(f64),
-    Str(String),
-    Bool(bool),
-    Null,
-}
-
-/// One parsed line: field names and scalar values in file order.
-#[derive(Debug, Clone)]
-struct LineObject {
-    fields: Vec<(String, Scalar)>,
-}
-
-impl LineObject {
-    fn get(&self, name: &str) -> Option<&Scalar> {
-        self.fields.iter().find(|(k, _)| k == name).map(|(_, v)| v)
+impl Line {
+    fn parse(line: &str) -> Result<Line, String> {
+        match Json::parse(line).map_err(|e| e.to_string())? {
+            obj @ Json::Object(_) => Ok(Line(obj)),
+            other => Err(format!("expected a JSON object, got {other:?}")),
+        }
     }
 
     fn u64_field(&self, name: &str) -> Result<u64, String> {
-        match self.get(name) {
-            Some(Scalar::UInt(u)) => Ok(*u),
+        match self.0.get(name) {
+            Some(Json::UInt(u)) => Ok(*u),
             other => Err(format!("field {name:?}: expected integer, got {other:?}")),
         }
     }
@@ -184,198 +145,30 @@ impl LineObject {
     }
 
     fn f64_field(&self, name: &str) -> Result<f64, String> {
-        match self.get(name) {
-            Some(Scalar::Num(x)) => Ok(*x),
-            // An integer-valued field position may legally hold a float that
-            // happened to print without a fraction — never the other way.
-            Some(Scalar::UInt(u)) => Ok(*u as f64),
-            Some(Scalar::Null) => Ok(f64::NAN),
+        match self.0.get(name) {
+            Some(Json::Num(x)) => Ok(*x),
+            Some(Json::UInt(u)) => Ok(*u as f64),
+            Some(Json::Null) => Ok(f64::NAN),
             other => Err(format!("field {name:?}: expected number, got {other:?}")),
         }
     }
 
     fn str_field(&self, name: &str) -> Result<&str, String> {
-        match self.get(name) {
-            Some(Scalar::Str(s)) => Ok(s),
+        match self.0.get(name) {
+            Some(Json::Str(s)) => Ok(s),
             other => Err(format!("field {name:?}: expected string, got {other:?}")),
         }
     }
 
     fn bool_field(&self, name: &str) -> Result<bool, String> {
-        match self.get(name) {
-            Some(Scalar::Bool(b)) => Ok(*b),
+        match self.0.get(name) {
+            Some(Json::Bool(b)) => Ok(*b),
             other => Err(format!("field {name:?}: expected bool, got {other:?}")),
         }
     }
 }
 
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn bump(&mut self) -> Result<u8, String> {
-        let b = self
-            .peek()
-            .ok_or_else(|| "unexpected end of line".to_string())?;
-        self.pos += 1;
-        Ok(b)
-    }
-
-    fn expect(&mut self, want: u8) -> Result<(), String> {
-        let got = self.bump()?;
-        if got != want {
-            return Err(format!(
-                "expected {:?} at byte {}, got {:?}",
-                want as char,
-                self.pos - 1,
-                got as char
-            ));
-        }
-        Ok(())
-    }
-
-    fn parse_string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.bump()? {
-                b'"' => return Ok(out),
-                b'\\' => match self.bump()? {
-                    b'"' => out.push('"'),
-                    b'\\' => out.push('\\'),
-                    b'n' => out.push('\n'),
-                    b'r' => out.push('\r'),
-                    b't' => out.push('\t'),
-                    b'u' => {
-                        let mut code = 0u32;
-                        for _ in 0..4 {
-                            let d = self.bump()? as char;
-                            let v = d
-                                .to_digit(16)
-                                .ok_or_else(|| format!("bad \\u escape digit {d:?}"))?;
-                            code = code * 16 + v;
-                        }
-                        let c = char::from_u32(code)
-                            .ok_or_else(|| format!("bad \\u escape code {code:#x}"))?;
-                        out.push(c);
-                    }
-                    other => return Err(format!("unsupported escape \\{}", other as char)),
-                },
-                byte => {
-                    // Re-assemble multi-byte UTF-8 sequences.
-                    if byte < 0x80 {
-                        out.push(byte as char);
-                    } else {
-                        let start = self.pos - 1;
-                        let width = match byte {
-                            0xC0..=0xDF => 2,
-                            0xE0..=0xEF => 3,
-                            0xF0..=0xF7 => 4,
-                            _ => return Err(format!("invalid UTF-8 lead byte {byte:#x}")),
-                        };
-                        for _ in 1..width {
-                            self.bump()?;
-                        }
-                        let s = std::str::from_utf8(&self.bytes[start..self.pos])
-                            .map_err(|e| format!("invalid UTF-8 in string: {e}"))?;
-                        out.push_str(s);
-                    }
-                }
-            }
-        }
-    }
-
-    fn parse_scalar(&mut self) -> Result<Scalar, String> {
-        match self.peek() {
-            Some(b'"') => Ok(Scalar::Str(self.parse_string()?)),
-            Some(b't') => {
-                self.literal("true")?;
-                Ok(Scalar::Bool(true))
-            }
-            Some(b'f') => {
-                self.literal("false")?;
-                Ok(Scalar::Bool(false))
-            }
-            Some(b'n') => {
-                self.literal("null")?;
-                Ok(Scalar::Null)
-            }
-            Some(b'-' | b'0'..=b'9') => {
-                let start = self.pos;
-                while matches!(
-                    self.peek(),
-                    Some(b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9')
-                ) {
-                    self.pos += 1;
-                }
-                let token = std::str::from_utf8(&self.bytes[start..self.pos])
-                    .map_err(|e| format!("invalid number token: {e}"))?;
-                if token.contains(['.', 'e', 'E']) {
-                    token
-                        .parse::<f64>()
-                        .map(Scalar::Num)
-                        .map_err(|e| format!("bad float {token:?}: {e}"))
-                } else {
-                    token
-                        .parse::<u64>()
-                        .map(Scalar::UInt)
-                        .map_err(|e| format!("bad integer {token:?}: {e}"))
-                }
-            }
-            other => Err(format!("unexpected value start {other:?}")),
-        }
-    }
-
-    fn literal(&mut self, word: &str) -> Result<(), String> {
-        for &b in word.as_bytes() {
-            self.expect(b)?;
-        }
-        Ok(())
-    }
-}
-
-/// Parses one line as a flat JSON object of scalar fields.
-fn parse_line_object(line: &str) -> Result<LineObject, String> {
-    let mut cur = Cursor {
-        bytes: line.trim_end().as_bytes(),
-        pos: 0,
-    };
-    cur.expect(b'{')?;
-    let mut fields = Vec::new();
-    if cur.peek() == Some(b'}') {
-        cur.pos += 1;
-    } else {
-        loop {
-            let key = cur.parse_string()?;
-            cur.expect(b':')?;
-            let value = cur.parse_scalar()?;
-            fields.push((key, value));
-            match cur.bump()? {
-                b',' => continue,
-                b'}' => break,
-                other => {
-                    return Err(format!(
-                        "expected ',' or '}}' at byte {}, got {:?}",
-                        cur.pos - 1,
-                        other as char
-                    ))
-                }
-            }
-        }
-    }
-    if cur.pos != cur.bytes.len() {
-        return Err(format!("trailing bytes after object at byte {}", cur.pos));
-    }
-    Ok(LineObject { fields })
-}
-
-fn payload_from(kind: &str, obj: &LineObject) -> Result<TracePayload, String> {
+fn payload_from(kind: &str, obj: &Line) -> Result<TracePayload, String> {
     let payload = match kind {
         "arrival" => TracePayload::Arrival {
             job: obj.u64_field("job")?,
@@ -472,107 +265,14 @@ fn payload_from(kind: &str, obj: &LineObject) -> Result<TracePayload, String> {
 
 /// Parses one event line back into a [`TraceEvent`].
 pub fn parse_event_line(line: &str) -> Result<TraceEvent, String> {
-    let obj = parse_line_object(line)?;
-    let kind = obj.str_field("kind")?.to_string();
+    let obj = Line::parse(line)?;
     Ok(TraceEvent {
         time: obj.f64_field("t")?,
         site: obj.u32_field("site")?,
         span: SpanId(obj.u64_field("span")?),
         parent: SpanId(obj.u64_field("parent")?),
-        payload: payload_from(&kind, &obj)?,
+        payload: payload_from(obj.str_field("kind")?, &obj)?,
     })
-}
-
-/// Streaming reader over an `rtds-trace/1` document. Construction validates
-/// the header; malformed lines panic with their line number, matching the
-/// artifact-reader convention used by `rtds-workload`'s `TraceReader`.
-pub struct JsonlReader<R: BufRead> {
-    input: R,
-    header_line: String,
-    header: Vec<(String, Value)>,
-    line_no: usize,
-    buf: String,
-}
-
-impl<R: BufRead> JsonlReader<R> {
-    /// Reads and validates the header line.
-    ///
-    /// # Panics
-    /// If the input is empty, the header is malformed, or the schema is not
-    /// [`TRACE_SCHEMA`].
-    pub fn new(mut input: R) -> JsonlReader<R> {
-        let mut header_line = String::new();
-        let n = input
-            .read_line(&mut header_line)
-            .expect("rtds-trace: failed to read trace header");
-        assert!(n > 0, "rtds-trace: empty trace input (missing header)");
-        let trimmed = header_line.trim_end().to_string();
-        let obj = parse_line_object(&trimmed)
-            .unwrap_or_else(|e| panic!("rtds-trace: malformed header line: {e}"));
-        match obj.get("schema") {
-            Some(Scalar::Str(s)) if s == TRACE_SCHEMA => {}
-            other => {
-                panic!("rtds-trace: unsupported trace schema {other:?} (expected {TRACE_SCHEMA:?})")
-            }
-        }
-        let header = obj
-            .fields
-            .iter()
-            .filter(|(k, _)| k != "schema")
-            .map(|(k, v)| {
-                let value = match v {
-                    Scalar::UInt(u) => Value::U64(*u),
-                    Scalar::Num(x) => Value::F64(*x),
-                    Scalar::Str(s) => Value::Str(s.clone()),
-                    Scalar::Bool(b) => Value::Bool(*b),
-                    Scalar::Null => Value::F64(f64::NAN),
-                };
-                (k.clone(), value)
-            })
-            .collect();
-        JsonlReader {
-            input,
-            header_line: trimmed,
-            header,
-            line_no: 1,
-            buf: String::new(),
-        }
-    }
-
-    /// The raw header line (no trailing newline), reusable verbatim by
-    /// [`render_jsonl_with_header`].
-    pub fn header_line(&self) -> &str {
-        &self.header_line
-    }
-
-    /// Header metadata fields (schema excluded), in file order.
-    pub fn header(&self) -> &[(String, Value)] {
-        &self.header
-    }
-
-    /// Reads the next event, or `None` at end of input.
-    ///
-    /// # Panics
-    /// On I/O errors or malformed event lines (with the line number).
-    pub fn next_event(&mut self) -> Option<TraceEvent> {
-        loop {
-            self.buf.clear();
-            let n = self
-                .input
-                .read_line(&mut self.buf)
-                .expect("rtds-trace: failed to read trace line");
-            if n == 0 {
-                return None;
-            }
-            self.line_no += 1;
-            if self.buf.trim().is_empty() {
-                continue;
-            }
-            let event = parse_event_line(&self.buf)
-                .unwrap_or_else(|e| panic!("rtds-trace: line {}: {e}", self.line_no));
-            return Some(event);
-        }
-    }
 }
 
 /// Parses a whole trace document, returning the raw header line and every
@@ -580,14 +280,14 @@ impl<R: BufRead> JsonlReader<R> {
 pub fn read_jsonl(text: &str) -> Result<(String, Vec<TraceEvent>), String> {
     let mut lines = text.lines();
     let header = lines.next().ok_or("empty trace document")?.to_string();
-    let obj = parse_line_object(&header).map_err(|e| format!("header: {e}"))?;
-    match obj.get("schema") {
-        Some(Scalar::Str(s)) if s == TRACE_SCHEMA => {}
-        other => {
-            return Err(format!(
-                "unsupported trace schema {other:?} (expected {TRACE_SCHEMA:?})"
-            ))
-        }
+    let obj = Line::parse(&header).map_err(|e| format!("header: {e}"))?;
+    let schema = obj
+        .str_field("schema")
+        .map_err(|e| format!("header: {e}"))?;
+    if schema != TRACE_SCHEMA {
+        return Err(format!(
+            "unsupported trace schema {schema:?} (expected {TRACE_SCHEMA:?})"
+        ));
     }
     let mut events = Vec::new();
     for (i, line) in lines.enumerate() {
@@ -671,8 +371,8 @@ mod tests {
         assert_eq!(doc, again);
     }
 
-    #[test]
-    fn every_payload_variant_round_trips() {
+    /// One event line per payload variant (and per reason of each).
+    fn every_variant_line() -> Vec<(TraceEvent, String)> {
         let variants = vec![
             TracePayload::Arrival {
                 job: 1,
@@ -759,16 +459,27 @@ mod tests {
                 value: 0.75,
             },
         ];
-        for (i, payload) in variants.into_iter().enumerate() {
-            let event = TraceEvent {
-                time: i as f64 + 0.5,
-                site: i as u32,
-                span: SpanId::derive(1, Phase::Custom, i as u32, 0),
-                parent: SpanId::NONE,
-                payload,
-            };
-            let mut line = String::new();
-            write_event_line(&mut line, &event);
+        variants
+            .into_iter()
+            .enumerate()
+            .map(|(i, payload)| {
+                let event = TraceEvent {
+                    time: i as f64 + 0.5,
+                    site: i as u32,
+                    span: SpanId::derive(1, Phase::Custom, i as u32, 0),
+                    parent: SpanId::NONE,
+                    payload,
+                };
+                let mut line = String::new();
+                write_event_line(&mut line, &event);
+                (event, line)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn every_payload_variant_round_trips() {
+        for (i, (event, line)) in every_variant_line().into_iter().enumerate() {
             let parsed = parse_event_line(&line).unwrap();
             assert_eq!(parsed, event, "variant {i} failed to round-trip");
             let mut again = String::new();
@@ -778,34 +489,40 @@ mod tests {
     }
 
     #[test]
-    fn reader_streams_events_and_keeps_the_header_line() {
-        let doc = render_jsonl(&[("seed", Value::U64(7))], &sample_events());
-        let mut reader = JsonlReader::new(doc.as_bytes());
-        assert!(reader.header_line().contains("\"seed\":7"));
-        assert_eq!(reader.header().len(), 1);
-        let mut n = 0;
-        while let Some(event) = reader.next_event() {
-            assert_eq!(event, sample_events()[n]);
-            n += 1;
+    fn truncated_lines_are_errors_not_panics() {
+        for (_, line) in every_variant_line() {
+            for end in 0..line.len() {
+                let prefix = &line[..end];
+                assert!(parse_event_line(prefix).is_err(), "{prefix:?} parsed");
+            }
         }
-        assert_eq!(n, sample_events().len());
+    }
+
+    #[test]
+    fn integer_fields_reject_float_tokens_and_u32_overflow() {
+        let mut line = String::new();
+        write_event_line(&mut line, &sample_events()[0]);
+        assert!(line.contains("\"site\":0,") && line.contains("\"job\":10,"));
+        let float_job = line.replace("\"job\":10,", "\"job\":3.0,");
+        assert!(parse_event_line(&float_job).is_err());
+        let max_site = line.replace("\"site\":0,", &format!("\"site\":{},", u32::MAX));
+        assert_eq!(parse_event_line(&max_site).unwrap().site, u32::MAX);
+        let wide_site = line.replace(
+            "\"site\":0,",
+            &format!("\"site\":{},", u64::from(u32::MAX) + 1),
+        );
+        assert!(parse_event_line(&wide_site).is_err());
     }
 
     #[test]
     fn reader_rejects_a_wrong_schema() {
-        let result = std::panic::catch_unwind(|| {
-            JsonlReader::new("{\"schema\":\"rtds-workload-trace/1\"}\n".as_bytes())
-        });
-        assert!(result.is_err());
+        assert!(read_jsonl("{\"schema\":\"rtds-workload-trace/1\"}\n").is_err());
     }
 
     #[test]
     fn string_escapes_round_trip() {
         let header = header_line(&[("label", Value::Str("a\"b\\c\nd\te\u{1}".to_string()))]);
-        let obj = parse_line_object(&header).unwrap();
-        assert_eq!(
-            obj.get("label"),
-            Some(&Scalar::Str("a\"b\\c\nd\te\u{1}".to_string()))
-        );
+        let obj = Line::parse(&header).unwrap();
+        assert_eq!(obj.str_field("label"), Ok("a\"b\\c\nd\te\u{1}"));
     }
 }

@@ -13,6 +13,9 @@
 //!   [`NullSink`] (disabled, one branch per would-be event), [`RingSink`]
 //!   (bounded flight recorder with drop counters), and [`JsonlSink`]
 //!   (streaming `rtds-trace/1` writer).
+//! - [`json`] — the workspace's one deterministic JSON dialect: a value type
+//!   with a pretty and a compact renderer, a parser, and the public scalar
+//!   writers every streaming writer shares (`rtds_sim::json` re-exports it).
 //! - [`jsonl`] — the `rtds-trace/1` wire format: deterministic JSONL with a
 //!   self-contained header; record → parse → re-render is a byte fixpoint.
 //! - [`chrome`] — a chrome://tracing / Perfetto exporter over any slice of
@@ -25,6 +28,7 @@
 
 pub mod chrome;
 pub mod event;
+pub mod json;
 pub mod jsonl;
 pub mod sink;
 pub mod span;
@@ -33,7 +37,7 @@ pub use chrome::chrome_trace;
 pub use event::{Arg, DeferReason, RejectReason, TraceEvent, TracePayload};
 pub use jsonl::{
     header_line, parse_event_line, read_jsonl, render_jsonl, render_jsonl_with_header,
-    write_event_line, JsonlReader, Value, TRACE_SCHEMA,
+    write_event_line, Value, TRACE_SCHEMA,
 };
 pub use sink::{JsonlSink, NullSink, RingSink, TraceSink};
 pub use span::{Phase, SpanId};

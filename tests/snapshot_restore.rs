@@ -7,11 +7,12 @@
 //! [`RtdsSystem::resume`]) and the open-loop streaming path (`diurnal-wave`,
 //! paused via [`RtdsSystem::run_streaming_checkpoint`] and resumed with a
 //! fresh deterministic job source), plus a 1/2/4-thread sweep showing the
-//! checkpointed cells are independent of sweep parallelism.
+//! checkpointed cells are independent of sweep parallelism. Corrupted
+//! stream checkpoints must resume to an `Err`, never a panic or a hang.
 
 use rtds::core::{RtdsSystem, StreamOptions, StreamPause, StreamReport, StreamRun};
 use rtds::scenarios::{find_scenario, mix_seed, parallel_sweep_sharded, Scenario};
-use rtds::sim::metrics_to_json;
+use rtds::sim::{metrics_to_json, Json};
 use rtds::workload::JobFactory;
 
 /// A `paper-baseline` system with its workload submitted, exactly as
@@ -171,4 +172,59 @@ fn checkpointed_cells_are_independent_of_sweep_threads() {
         let full = system.run_streaming(&mut source, &StreamOptions::default());
         assert_eq!(single[i], full, "seed {seed}");
     }
+}
+
+/// A real mid-run `diurnal-wave` stream checkpoint (seed 3, paused at
+/// t = 180), parsed so a test can corrupt it.
+fn stream_checkpoint() -> Json {
+    let scenario = find_scenario("diurnal-wave").expect("registry scenario");
+    let mut system = diurnal_system(&scenario, 3);
+    let mut live = diurnal_source(&scenario, 3);
+    let options = StreamOptions::default();
+    match system.run_streaming_checkpoint(&mut live, &options, &StreamPause::AtTime(180.0)) {
+        StreamRun::Paused(text) => Json::parse(&text).expect("checkpoint parses"),
+        StreamRun::Finished(_) => panic!("the run must pause before draining"),
+    }
+}
+
+/// The value of field `key` of a JSON object, for editing.
+fn field<'a>(obj: &'a mut Json, key: &str) -> &'a mut Json {
+    let Json::Object(fields) = obj else {
+        panic!("{key}: not an object")
+    };
+    let (_, value) = fields.iter_mut().find(|(k, _)| k == key).expect(key);
+    value
+}
+
+/// Resumes `doc` with a fresh seed-3 `diurnal-wave` source.
+fn resume_diurnal(doc: &Json) -> Result<StreamReport, String> {
+    let scenario = find_scenario("diurnal-wave").expect("registry scenario");
+    let mut fresh = diurnal_source(&scenario, 3);
+    RtdsSystem::resume_streaming(&doc.render(), &mut fresh).map_err(|e| e.to_string())
+}
+
+#[test]
+fn resume_rejects_a_buffered_job_at_a_missing_site() {
+    let mut doc = stream_checkpoint();
+    *field(field(&mut doc, "buffered"), "site") = Json::UInt(99_999);
+    let err = resume_diurnal(&doc).unwrap_err();
+    assert!(err.contains("site 99999"), "{err}");
+}
+
+#[test]
+fn resume_rejects_a_pull_count_off_the_injected_count() {
+    let mut doc = stream_checkpoint();
+    *field(&mut doc, "pulls") = Json::Num(1e15);
+    let err = resume_diurnal(&doc).unwrap_err();
+    assert!(err.contains("pulls"), "{err}");
+}
+
+#[test]
+fn resume_rejects_a_source_shorter_than_the_pulls() {
+    // Consistent counters, but more injected jobs than the source holds.
+    let mut doc = stream_checkpoint();
+    *field(field(&mut doc, "harvest"), "injected") = Json::UInt(1_000_000);
+    *field(&mut doc, "pulls") = Json::UInt(1_000_001);
+    let err = resume_diurnal(&doc).unwrap_err();
+    assert!(err.contains("ran out"), "{err}");
 }
