@@ -15,7 +15,7 @@ use rtds_sched::{SchedulePlan, Scheduler, SchedulerKind, SiteResources, SiteSche
 ///
 /// Jobs are processed in arrival-time order (ties by job id); each one is
 /// offered only to its arrival site. Every site runs a single-core protocol
-/// [`Scheduler`], which delegates verbatim to the paper's admission test.
+/// [`Scheduler`]: the paper's §5 admission test.
 pub fn run_local_only(network: &Network, jobs: &[Job], preemptive: bool) -> PolicyReport {
     let mut scheds: Vec<SiteScheduler> = network
         .sites()

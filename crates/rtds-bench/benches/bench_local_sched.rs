@@ -5,8 +5,10 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use rtds_graph::generators::{CostDistribution, DagGenerator, DagShape, GeneratorConfig};
 use rtds_graph::{JobId, TaskId};
 use rtds_sched::admission::admit_dag_locally;
-use rtds_sched::feasibility::{satisfiable, TaskRequest};
-use rtds_sched::{Reservation, SchedulePlan};
+use rtds_sched::feasibility::TaskRequest;
+use rtds_sched::{
+    Reservation, SchedulePlan, Scheduler, SchedulerKind, SiteResources, SiteScheduler,
+};
 use std::hint::black_box;
 
 fn loaded_plan(reservations: usize) -> SchedulePlan {
@@ -55,11 +57,19 @@ fn bench_local_sched(c: &mut Criterion) {
                 duration: 4.0,
             })
             .collect();
+        let site = SiteScheduler::from_parts(
+            SchedulerKind::Protocol,
+            SiteResources::default(),
+            1.0,
+            false,
+            vec![plan],
+            Vec::new(),
+        );
         group.throughput(Throughput::Elements(10));
         group.bench_with_input(
             BenchmarkId::new("satisfiable", existing),
-            &(plan, requests),
-            |b, (plan, requests)| b.iter(|| black_box(satisfiable(plan, requests, false))),
+            &(site, requests),
+            |b, (site, requests)| b.iter(|| black_box(site.satisfiable(requests))),
         );
     }
     group.finish();

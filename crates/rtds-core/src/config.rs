@@ -23,8 +23,7 @@ pub enum LaxityDispatch {
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub enum DemandRule {
     /// Every task is a default single-core demand (the paper's model; the
-    /// default). Schedulers receive `None` and take their degenerate fast
-    /// paths.
+    /// default). Schedulers receive `None`.
     #[default]
     SingleCore,
     /// Tasks cycle through widths `1..=cores` by task id, each scaling by
@@ -42,8 +41,7 @@ pub enum DemandRule {
 
 impl DemandRule {
     /// Demands for each task of `graph`, or `None` for the single-core rule
-    /// (which lets schedulers delegate to the original single-plan
-    /// primitives verbatim).
+    /// (every task a default single-core demand).
     pub fn demands_for(&self, graph: &TaskGraph) -> Option<Vec<TaskDemand>> {
         match *self {
             DemandRule::SingleCore => None,

@@ -327,9 +327,8 @@ impl RtdsNode {
             deadline,
         });
         let now = ctx.now();
-        // §5 local guarantee test, generalised to the site's scheduler (on
-        // the default single-core bundle this is the original test
-        // verbatim).
+        // §5 local guarantee test, asked of the site's scheduler (on the
+        // default single-core bundle this is the paper's one-site test).
         let demands = self.config.demand.demands_for(&job.graph);
         if let Some(admission) = self.sched.admit_dag(&job, now, demands.as_deref()) {
             self.sched
@@ -991,22 +990,7 @@ impl RtdsNode {
         }
         let config = snap::decode_config(sim_snap::get(doc, "config")?)?;
         let speed = sim_snap::get_f64(doc, "speed")?;
-        let sched = if let Ok(sched_doc) = sim_snap::get(doc, "sched") {
-            snap::decode_sched(sched_doc)?
-        } else {
-            // Legacy snapshot (pre rtds-sched-snapshot/1): a bare
-            // single-core plan; rebuild the degenerate protocol scheduler.
-            let plan = snap::decode_plan(sim_snap::get(doc, "plan")?, "node plan")?;
-            let base_speed = if config.uniform_machines { speed } else { 1.0 };
-            SiteScheduler::from_parts(
-                config.scheduler,
-                SiteResources::default(),
-                base_speed,
-                config.preemptive,
-                vec![plan],
-                Vec::new(),
-            )
-        };
+        let sched = snap::decode_sched(sim_snap::get(doc, "sched")?)?;
         Ok(RtdsNode {
             site: snap::decode_site(sim_snap::get(doc, "site")?, "node site")?,
             config,

@@ -654,6 +654,15 @@ pub(crate) fn decode_sched(doc: &Json) -> Result<SiteScheduler, SnapshotError> {
         speed: get_f64(doc, "speed")?,
         memory: get_f64(doc, "memory")?,
     };
+    resources
+        .validate()
+        .map_err(|e| err(format!("scheduler snapshot: {e}")))?;
+    let base_speed = get_f64(doc, "base_speed")?;
+    if !(base_speed.is_finite() && base_speed > 0.0) {
+        return Err(err(format!(
+            "scheduler snapshot: base speed must be positive, got {base_speed}"
+        )));
+    }
     let plans = get_items(doc, "plans")?
         .iter()
         .map(|p| decode_plan(p, "core plan"))
@@ -683,7 +692,7 @@ pub(crate) fn decode_sched(doc: &Json) -> Result<SiteScheduler, SnapshotError> {
     Ok(SiteScheduler::from_parts(
         kind,
         resources,
-        get_f64(doc, "base_speed")?,
+        base_speed,
         get_bool(doc, "preemptive")?,
         plans,
         holds,

@@ -189,8 +189,8 @@ impl TopologySpec {
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub enum ResourceRecipe {
     /// Every site is a single unit-speed core with unlimited memory (the
-    /// paper's model; the default). Schedulers take their degenerate fast
-    /// paths and runs are byte-identical to the pre-multicore engine.
+    /// paper's model; the default). Each site runs the scheduler's one-core
+    /// case and runs are byte-identical to the pre-multicore engine.
     #[default]
     SingleCore,
     /// Every site has the same `cores` and `memory`.

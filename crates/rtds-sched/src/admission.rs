@@ -9,10 +9,14 @@
 //! realise the local schedule, so the site can commit them immediately and
 //! atomically. Tasks are considered in list-scheduling order driven by the
 //! §12 critical-path priority (longest node-weight path to a sink), which
-//! keeps the local test and the Mapper consistent with each other.
+//! keeps the local test and the Mapper consistent with each other. The test
+//! itself is [`SiteScheduler::admit_dag`]; [`admit_dag_locally`] asks it of a
+//! one-core protocol site holding a given plan.
 
 use crate::plan::{Reservation, SchedulePlan};
-use rtds_graph::{critical_path_tasks, Job, TaskId};
+use crate::resources::SiteResources;
+use crate::scheduler::{Scheduler, SchedulerKind, SiteScheduler};
+use rtds_graph::{Job, TaskId};
 use serde::{Deserialize, Serialize};
 
 /// Result of a successful local admission: the reservations to commit and the
@@ -27,7 +31,7 @@ pub struct DagAdmission {
     pub completion: f64,
 }
 
-/// Attempts to admit the whole DAG of `job` on a single site.
+/// Attempts to admit the whole DAG of `job` on a one-core protocol site.
 ///
 /// * `plan` — the site's committed schedule (not modified).
 /// * `now` — current time; no task may start before `max(now, job release)`.
@@ -44,66 +48,18 @@ pub fn admit_dag_locally(
     speed: f64,
     preemptive: bool,
 ) -> Option<DagAdmission> {
-    assert!(speed > 0.0, "site speed must be positive");
-    let graph = &job.graph;
-    if graph.task_count() == 0 {
-        return Some(DagAdmission {
-            reservations: Vec::new(),
-            completion: now.max(job.release()),
-        });
-    }
-    let deadline = job.deadline();
-    let start_floor = now.max(job.release());
-    let info = critical_path_tasks(graph);
-    // List scheduling: repeatedly pick the ready task with the largest upward
-    // rank (ties by task id), exactly like the Mapper of §12 but on a single
-    // site, so no communication delays apply.
-    let order = priority_order(graph, &info.upward);
-
-    let mut scratch = plan.clone();
-    let mut finish = vec![0.0f64; graph.task_count()];
-    let mut reservations = Vec::new();
-    for t in order {
-        let duration = graph.cost(t) / speed;
-        let ready = graph
-            .predecessors(t)
-            .map(|p| finish[p.0])
-            .fold(start_floor, f64::max);
-        if preemptive {
-            let chunks = scratch.earliest_fit_preemptive(ready, deadline, duration)?;
-            let mut end = ready;
-            for chunk in &chunks {
-                let r = Reservation {
-                    job: job.id,
-                    task: t,
-                    start: chunk.start,
-                    end: chunk.end,
-                };
-                scratch.insert(r).ok()?;
-                reservations.push(r);
-                end = end.max(chunk.end);
-            }
-            finish[t.0] = end;
-        } else {
-            let start = scratch.earliest_fit(ready, deadline, duration)?;
-            let r = Reservation {
-                job: job.id,
-                task: t,
-                start,
-                end: start + duration,
-            };
-            scratch.insert(r).ok()?;
-            reservations.push(r);
-            finish[t.0] = start + duration;
-        }
-        if finish[t.0] > deadline + 1e-9 {
-            return None;
-        }
-    }
-    let completion = finish.iter().copied().fold(start_floor, f64::max);
+    let site = SiteScheduler::from_parts(
+        SchedulerKind::Protocol,
+        SiteResources::default(),
+        speed,
+        preemptive,
+        vec![plan.clone()],
+        Vec::new(),
+    );
+    let schedule = site.admit_dag(job, now, None)?;
     Some(DagAdmission {
-        reservations,
-        completion,
+        reservations: schedule.placements.iter().map(|p| p.reservation).collect(),
+        completion: schedule.completion,
     })
 }
 
@@ -145,8 +101,9 @@ pub fn priority_order(graph: &rtds_graph::TaskGraph, priority: &[f64]) -> Vec<Ta
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scheduler::DagSchedule;
     use rtds_graph::paper_instance::paper_job;
-    use rtds_graph::{JobId, JobParams, TaskGraph};
+    use rtds_graph::{critical_path_tasks, JobId, JobParams, TaskGraph};
 
     fn chain_job(id: u64, costs: &[f64], release: f64, deadline: f64) -> Job {
         let mut g = TaskGraph::from_costs(costs);
@@ -156,27 +113,55 @@ mod tests {
         Job::new(JobId(id), g, JobParams::new(release, deadline), 0)
     }
 
+    /// The §5 test asked of a one-core protocol site holding `plan`.
+    fn admit(
+        plan: &SchedulePlan,
+        job: &Job,
+        now: f64,
+        speed: f64,
+        preemptive: bool,
+    ) -> Option<DagSchedule> {
+        SiteScheduler::from_parts(
+            SchedulerKind::Protocol,
+            SiteResources::default(),
+            speed,
+            preemptive,
+            vec![plan.clone()],
+            Vec::new(),
+        )
+        .admit_dag(job, now, None)
+    }
+
+    fn reservations(schedule: &DagSchedule) -> Vec<Reservation> {
+        assert!(schedule.placements.iter().all(|p| p.core == 0));
+        schedule.placements.iter().map(|p| p.reservation).collect()
+    }
+
     #[test]
     fn empty_plan_accepts_a_feasible_chain() {
         let plan = SchedulePlan::new();
         let job = chain_job(1, &[2.0, 3.0, 5.0], 0.0, 20.0);
-        let adm = admit_dag_locally(&plan, &job, 0.0, 1.0, false).unwrap();
-        assert_eq!(adm.reservations.len(), 3);
+        let adm = admit(&plan, &job, 0.0, 1.0, false).unwrap();
+        let placed = reservations(&adm);
+        assert_eq!(placed.len(), 3);
         assert_eq!(adm.completion, 10.0);
         // Precedence respected: each task starts after its predecessor ends.
-        let by_task: Vec<&Reservation> = adm.reservations.iter().collect();
-        assert!(by_task
+        assert!(placed
             .windows(2)
             .all(|w| w[1].start + 1e-9 >= w[0].end || w[1].task.0 < w[0].task.0));
+        // The plan-level wrapper answers with the same reservations.
+        let wrapped = admit_dag_locally(&plan, &job, 0.0, 1.0, false).unwrap();
+        assert_eq!(wrapped.reservations, placed);
+        assert_eq!(wrapped.completion, adm.completion);
     }
 
     #[test]
     fn rejects_when_deadline_is_too_tight() {
         let plan = SchedulePlan::new();
         let job = chain_job(1, &[5.0, 5.0, 5.0], 0.0, 12.0);
-        assert!(admit_dag_locally(&plan, &job, 0.0, 1.0, false).is_none());
+        assert!(admit(&plan, &job, 0.0, 1.0, false).is_none());
         // The same chain with speed 2 halves the durations and fits.
-        assert!(admit_dag_locally(&plan, &job, 0.0, 2.0, false).is_some());
+        assert!(admit(&plan, &job, 0.0, 2.0, false).is_some());
     }
 
     #[test]
@@ -190,17 +175,17 @@ mod tests {
         })
         .unwrap();
         let job = chain_job(2, &[4.0, 4.0], 0.0, 20.0);
-        let adm = admit_dag_locally(&plan, &job, 0.0, 1.0, false).unwrap();
+        let adm = admit(&plan, &job, 0.0, 1.0, false).unwrap();
         // Both tasks must be placed after the existing reservation.
-        assert!(adm.reservations.iter().all(|r| r.start >= 8.0));
+        assert!(reservations(&adm).iter().all(|r| r.start >= 8.0));
         assert_eq!(adm.completion, 16.0);
         // With a deadline of 15 it no longer fits.
         let tight = chain_job(3, &[4.0, 4.0], 0.0, 15.0);
-        assert!(admit_dag_locally(&plan, &tight, 0.0, 1.0, false).is_none());
+        assert!(admit(&plan, &tight, 0.0, 1.0, false).is_none());
         // ...unless preemption is allowed? (still contiguous chain on one
         // site, so preemption does not help here: total demand 8 in [8, 15)
         // is only 7 units of idle time).
-        assert!(admit_dag_locally(&plan, &tight, 0.0, 1.0, true).is_none());
+        assert!(admit(&plan, &tight, 0.0, 1.0, true).is_none());
     }
 
     #[test]
@@ -216,11 +201,11 @@ mod tests {
         // One 8-unit task, deadline 20: non-preemptively it must wait for
         // [10, 18); preemptively it can use [0,5) + [10,13).
         let job = chain_job(4, &[8.0], 0.0, 20.0);
-        let np = admit_dag_locally(&plan, &job, 0.0, 1.0, false).unwrap();
+        let np = admit(&plan, &job, 0.0, 1.0, false).unwrap();
         assert_eq!(np.completion, 18.0);
-        let p = admit_dag_locally(&plan, &job, 0.0, 1.0, true).unwrap();
+        let p = admit(&plan, &job, 0.0, 1.0, true).unwrap();
         assert_eq!(p.completion, 13.0);
-        assert_eq!(p.reservations.len(), 2);
+        assert_eq!(reservations(&p).len(), 2);
     }
 
     #[test]
@@ -230,8 +215,8 @@ mod tests {
         // paper's distribution scenario presumes the arrival site is loaded.
         let plan = SchedulePlan::new();
         let job = paper_job(JobId(1), 0);
-        let adm = admit_dag_locally(&plan, &job, 0.0, 1.0, false).unwrap();
-        assert_eq!(adm.reservations.len(), 5);
+        let adm = admit(&plan, &job, 0.0, 1.0, false).unwrap();
+        assert_eq!(reservations(&adm).len(), 5);
         assert!(adm.completion <= 21.0 + 1e-9);
         // A loaded site (busy until t = 40) can still fit the 21 units of
         // serial work before the deadline of 66...
@@ -243,7 +228,7 @@ mod tests {
             end: 40.0,
         })
         .unwrap();
-        let adm2 = admit_dag_locally(&busy, &job, 0.0, 1.0, false).unwrap();
+        let adm2 = admit(&busy, &job, 0.0, 1.0, false).unwrap();
         assert!(adm2.completion <= 66.0 + 1e-9);
         assert!(adm2.completion >= 61.0 - 1e-9);
         // ...but a site busy until t = 50 cannot (only 16 idle units remain).
@@ -256,7 +241,7 @@ mod tests {
                 end: 50.0,
             })
             .unwrap();
-        assert!(admit_dag_locally(&very_busy, &job, 0.0, 1.0, false).is_none());
+        assert!(admit(&very_busy, &job, 0.0, 1.0, false).is_none());
     }
 
     #[test]
@@ -264,19 +249,19 @@ mod tests {
         let plan = SchedulePlan::new();
         let job = chain_job(1, &[2.0], 10.0, 30.0);
         // now < release: start at the release.
-        let a = admit_dag_locally(&plan, &job, 0.0, 1.0, false).unwrap();
-        assert_eq!(a.reservations[0].start, 10.0);
+        let a = admit(&plan, &job, 0.0, 1.0, false).unwrap();
+        assert_eq!(reservations(&a)[0].start, 10.0);
         // now > release: start at now.
-        let b = admit_dag_locally(&plan, &job, 15.0, 1.0, false).unwrap();
-        assert_eq!(b.reservations[0].start, 15.0);
+        let b = admit(&plan, &job, 15.0, 1.0, false).unwrap();
+        assert_eq!(reservations(&b)[0].start, 15.0);
     }
 
     #[test]
     fn empty_graph_job_is_trivially_admitted() {
         let plan = SchedulePlan::new();
         let job = Job::new(JobId(1), TaskGraph::new(), JobParams::new(0.0, 5.0), 0);
-        let adm = admit_dag_locally(&plan, &job, 2.0, 1.0, false).unwrap();
-        assert!(adm.reservations.is_empty());
+        let adm = admit(&plan, &job, 2.0, 1.0, false).unwrap();
+        assert!(adm.placements.is_empty());
         assert_eq!(adm.completion, 2.0);
     }
 

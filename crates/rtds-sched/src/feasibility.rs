@@ -6,15 +6,17 @@
 //! `T_i` may be executed with respect to its release `r(t)` and deadline
 //! `d(t)`" — in-between the reservations `j` has already committed to.
 //!
-//! Non-preemptive single-machine feasibility with releases and deadlines is
-//! NP-hard in general; like the paper (which leaves the local scheduler
-//! unspecified beyond the insertion idea of §5) we use a deterministic
+//! This module holds the request type; the test itself is
+//! [`Scheduler::satisfiable`](crate::Scheduler::satisfiable). Non-preemptive
+//! single-machine feasibility with releases and deadlines is NP-hard in
+//! general; like the paper (which leaves the local scheduler unspecified
+//! beyond the insertion idea of §5) the scheduler uses a deterministic
 //! heuristic: earliest-deadline-first insertion into the idle windows, with
 //! the duration of each task taken from the mapping. The preemptive variant
 //! (§13) splits tasks across idle windows and is exact for the single-site
 //! subproblem it solves.
 
-use crate::plan::{Reservation, SchedulePlan, TIME_EPS};
+use crate::plan::TIME_EPS;
 use rtds_graph::{JobId, TaskId};
 use serde::{Deserialize, Serialize};
 
@@ -45,71 +47,30 @@ impl TaskRequest {
     }
 }
 
-/// Attempts to schedule all `requests` in-between the committed reservations
-/// of `plan`. Returns the reservations that would be added (not committed) if
-/// every task fits, `None` otherwise.
-///
-/// * Non-preemptive (`preemptive = false`): each task gets one contiguous
-///   slot starting at the earliest idle instant after its release.
-/// * Preemptive (`preemptive = true`): a task may be split across idle
-///   windows; the returned reservations contain one entry per chunk.
-///
-/// Requests are processed in earliest-deadline-first order (ties broken by
-/// release then task id), which is deterministic and matches the §5
-/// "schedule in-between already accepted tasks" idea.
-pub fn satisfiable(
-    plan: &SchedulePlan,
-    requests: &[TaskRequest],
-    preemptive: bool,
-) -> Option<Vec<Reservation>> {
-    if requests.iter().any(|r| !r.is_well_formed()) {
-        return None;
-    }
-    let mut ordered: Vec<&TaskRequest> = requests.iter().collect();
-    ordered.sort_by(|a, b| {
-        a.deadline
-            .partial_cmp(&b.deadline)
-            .unwrap()
-            .then(a.release.partial_cmp(&b.release).unwrap())
-            .then(a.task.0.cmp(&b.task.0))
-            .then(a.job.0.cmp(&b.job.0))
-    });
-    // Work on a scratch copy so partially placed sets never touch the real
-    // plan.
-    let mut scratch = plan.clone();
-    let mut added = Vec::new();
-    for req in ordered {
-        if preemptive {
-            let chunks =
-                scratch.earliest_fit_preemptive(req.release, req.deadline, req.duration)?;
-            for chunk in chunks {
-                let r = Reservation {
-                    job: req.job,
-                    task: req.task,
-                    start: chunk.start,
-                    end: chunk.end,
-                };
-                scratch.insert(r).ok()?;
-                added.push(r);
-            }
-        } else {
-            let start = scratch.earliest_fit(req.release, req.deadline, req.duration)?;
-            let r = Reservation {
-                job: req.job,
-                task: req.task,
-                start,
-                end: start + req.duration,
-            };
-            scratch.insert(r).ok()?;
-            added.push(r);
-        }
-    }
-    Some(added)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::{Reservation, SchedulePlan};
+    use crate::{Scheduler, SchedulerKind, SiteResources, SiteScheduler};
+
+    /// The §10 test asked of a one-core protocol site holding `plan`.
+    fn satisfiable(
+        plan: &SchedulePlan,
+        requests: &[TaskRequest],
+        preemptive: bool,
+    ) -> Option<Vec<Reservation>> {
+        let site = SiteScheduler::from_parts(
+            SchedulerKind::Protocol,
+            SiteResources::default(),
+            1.0,
+            preemptive,
+            vec![plan.clone()],
+            Vec::new(),
+        );
+        let placed = site.satisfiable(requests)?;
+        assert!(placed.iter().all(|p| p.core == 0));
+        Some(placed.iter().map(|p| p.reservation).collect())
+    }
 
     fn req(task: usize, release: f64, deadline: f64, duration: f64) -> TaskRequest {
         TaskRequest {

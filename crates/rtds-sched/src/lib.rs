@@ -14,8 +14,9 @@
 //! * [`interval`] — closed-open time intervals and idle-window arithmetic,
 //! * [`plan`] — [`plan::SchedulePlan`]: committed reservations, idle-window
 //!   enumeration, non-preemptive and preemptive insertion, surplus,
-//! * [`admission`] — the §5 whole-DAG local guarantee test,
-//! * [`feasibility`] — the §10 per-logical-processor satisfiability test,
+//! * [`admission`] — the §5 whole-DAG local guarantee test on one plan
+//!   ([`admit_dag_locally`]) and the list-scheduling priority order,
+//! * [`feasibility`] — the §10 task request type,
 //! * [`mod@surplus`] — observation-window surplus and busyness helpers,
 //! * [`executor`] — turns committed reservations into completion records and
 //!   deadline-miss checks (the run-time side of the computation processor),
@@ -24,9 +25,9 @@
 //!   amdahl/linear/flat [`resources::SpeedupFn`] laws),
 //! * [`scheduler`] — the pluggable [`scheduler::Scheduler`] trait over
 //!   per-core plans, with the paper's protocol policy plus HEFT-style and
-//!   one-step-lookahead baselines; the `cores = 1, memory = ∞` degenerate
-//!   case delegates verbatim to [`admission`] / [`feasibility`], keeping all
-//!   pre-multicore behaviour bit-identical.
+//!   one-step-lookahead baselines. Every §5 admission and §10
+//!   satisfiability query runs through [`scheduler::SiteScheduler`]; the
+//!   paper's single-site model is simply its one-core case.
 //!
 //! Jobs and task graphs come from [`rtds_graph`]; the admission and
 //! satisfiability answers computed here feed the protocol node of
@@ -44,7 +45,7 @@ pub mod scheduler;
 pub mod surplus;
 
 pub use admission::{admit_dag_locally, DagAdmission};
-pub use feasibility::{satisfiable, TaskRequest};
+pub use feasibility::TaskRequest;
 pub use interval::TimeInterval;
 pub use plan::{PlanError, Reservation, SchedulePlan};
 pub use resources::{SiteResources, SpeedupFn, TaskDemand};

@@ -4,9 +4,8 @@
 //! to a dslab-compute-style resource bundle — a number of identical cores, a
 //! relative speed and a memory capacity — plus a per-task *demand* (cores,
 //! memory, speedup law). The degenerate bundle `cores = 1, memory = ∞` with
-//! single-core demands reproduces the paper's model exactly: every scheduler
-//! built over it delegates to the original single-plan primitives, so all
-//! pre-multicore reports stay byte-identical.
+//! single-core demands is the paper's model: the scheduler's one-core case,
+//! whose reports stay byte-identical to the pre-multicore tree.
 
 use serde::{Deserialize, Serialize};
 
@@ -54,8 +53,7 @@ impl SiteResources {
     }
 
     /// Returns `true` for the degenerate paper-model shape: one core,
-    /// unit speed multiplier, unlimited memory. On this shape every
-    /// scheduler query reduces to the original single-plan primitives.
+    /// unit speed multiplier, unlimited memory.
     pub fn is_degenerate(&self) -> bool {
         self.cores == 1 && self.speed == 1.0 && self.memory.is_infinite()
     }

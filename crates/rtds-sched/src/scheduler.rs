@@ -1,17 +1,14 @@
 //! The pluggable local scheduling policy.
 //!
 //! The paper leaves the local scheduler unspecified beyond the §5 insertion
-//! idea; `rtds-core` and every baseline used to call the single-plan
-//! primitives ([`crate::admission`], [`crate::feasibility`]) directly. This
-//! module extracts that decision behind the [`Scheduler`] trait over a
+//! idea. This module puts that decision behind the [`Scheduler`] trait over a
 //! multicore [`SiteResources`] bundle, implemented by [`SiteScheduler`] in
 //! three [`SchedulerKind`] policies:
 //!
 //! * `Protocol` — the paper's §5/§12 critical-path list
 //!   scheduler, generalised to place each task on the core with the
-//!   earliest fit. On the degenerate single-core bundle it *delegates
-//!   verbatim* to [`admit_dag_locally`] and [`feasibility::satisfiable`],
-//!   so every pre-multicore report stays byte-identical.
+//!   earliest fit. A one-core site is just this scheduler with one core:
+//!   the paper's single-site §5 and §10 tests are its `cores = 1` case.
 //! * `Heft` — HEFT-style list scheduling (Topcuoglu et al.):
 //!   tasks ordered by communication-inclusive upward rank, each placed on
 //!   the core minimising its earliest finish time (insertion-based EFT).
@@ -25,8 +22,8 @@
 //! plain enum-dispatched struct it stays `Clone + PartialEq` and snapshots
 //! cleanly (`rtds-sched-snapshot/1`, encoded by `rtds-core`).
 
-use crate::admission::{admit_dag_locally, priority_order};
-use crate::feasibility::{self, TaskRequest};
+use crate::admission::priority_order;
+use crate::feasibility::TaskRequest;
 use crate::interval::TimeInterval;
 use crate::plan::{PlanError, Reservation, SchedulePlan};
 use crate::resources::{SiteResources, TaskDemand};
@@ -255,12 +252,6 @@ impl SiteScheduler {
         self.preemptive
     }
 
-    /// True when every query delegates verbatim to the single-plan
-    /// primitives (one core, default demands).
-    fn is_single_core(&self) -> bool {
-        self.cores.len() == 1
-    }
-
     // ----- placement helpers ------------------------------------------------
 
     /// Earliest single-core fit across all cores under the given selection
@@ -338,101 +329,83 @@ impl SiteScheduler {
         }
     }
 
-    /// Places one single-core task according to this scheduler's rule,
-    /// inserting into `scratch`. Returns the finish time.
-    #[allow(clippy::too_many_arguments)]
-    fn place_single(
+    /// Inserts `reservation` into `scratch[core]` and records the placement.
+    fn place_on(
+        scratch: &mut [SchedulePlan],
+        out: &mut Vec<Placement>,
+        core: CoreId,
+        reservation: Reservation,
+    ) -> Option<()> {
+        scratch[core].insert(reservation).ok()?;
+        out.push(Placement { core, reservation });
+        Some(())
+    }
+
+    /// Places one single-core request on the best core of `scratch`:
+    /// preemptively on the core whose chunks complete earliest, otherwise
+    /// at the earliest non-preemptive fit (ties to the lowest core id).
+    /// Returns the finish time.
+    fn place_request(
         &self,
         scratch: &mut [SchedulePlan],
-        graph: &TaskGraph,
-        job: JobId,
-        t: TaskId,
-        ready: f64,
-        deadline: f64,
-        duration: f64,
-        durations: &[f64],
-        finish: &[f64],
+        req: &TaskRequest,
         out: &mut Vec<Placement>,
     ) -> Option<f64> {
-        if self.preemptive {
-            // Preemptive placement: fill idle windows on the core whose
-            // chunks complete earliest (ties to the lowest core id).
-            let mut best: Option<(CoreId, Vec<TimeInterval>, f64)> = None;
-            for (c, plan) in scratch.iter().enumerate() {
-                if let Some(chunks) = plan.earliest_fit_preemptive(ready, deadline, duration) {
-                    let end = chunks.last().map_or(ready, |ch| ch.end);
-                    if best.as_ref().map_or(true, |(_, _, e)| end < *e - TIME_EPS) {
-                        best = Some((c, chunks, end));
-                    }
+        let reservation = |start, end| Reservation {
+            job: req.job,
+            task: req.task,
+            start,
+            end,
+        };
+        if !self.preemptive {
+            let (core, start, end) =
+                Self::best_single_fit(scratch, req.release, req.deadline, req.duration)?;
+            Self::place_on(scratch, out, core, reservation(start, end))?;
+            return Some(end);
+        }
+        let mut best: Option<(CoreId, Vec<TimeInterval>, f64)> = None;
+        for (c, plan) in scratch.iter().enumerate() {
+            if let Some(chunks) =
+                plan.earliest_fit_preemptive(req.release, req.deadline, req.duration)
+            {
+                let end = chunks.last().map_or(req.release, |ch| ch.end);
+                if best.as_ref().map_or(true, |(_, _, e)| end < *e - TIME_EPS) {
+                    best = Some((c, chunks, end));
                 }
             }
-            let (core, chunks, end) = best?;
-            for chunk in &chunks {
-                let r = Reservation {
-                    job,
-                    task: t,
-                    start: chunk.start,
-                    end: chunk.end,
-                };
-                scratch[core].insert(r).ok()?;
-                out.push(Placement {
-                    core,
-                    reservation: r,
-                });
-            }
-            return Some(end.max(ready));
         }
-        let core = match self.kind {
-            SchedulerKind::Lookahead => self.lookahead_core(
-                scratch, graph, job, t, ready, deadline, duration, durations, finish,
-            )?,
-            _ => Self::best_single_fit(scratch, ready, deadline, duration)?.0,
-        };
-        let start = scratch[core].earliest_fit(ready, deadline, duration)?;
-        let r = Reservation {
-            job,
-            task: t,
-            start,
-            end: start + duration,
-        };
-        scratch[core].insert(r).ok()?;
-        out.push(Placement {
-            core,
-            reservation: r,
-        });
-        Some(start + duration)
+        let (core, chunks, end) = best?;
+        for chunk in &chunks {
+            Self::place_on(scratch, out, core, reservation(chunk.start, chunk.end))?;
+        }
+        Some(end.max(req.release))
     }
 
     /// The one-step lookahead core choice: minimise, over the task's
     /// children, the worst insertion-based EFT the child could still get
     /// with the task tentatively placed — ties broken by own EFT, then by
     /// core id. Falls back to the plain EFT rule for childless tasks.
-    #[allow(clippy::too_many_arguments)]
-    fn lookahead_core(
-        &self,
+    /// Returns the chosen core and the task's start on it.
+    fn lookahead_fit(
         scratch: &[SchedulePlan],
         graph: &TaskGraph,
-        job: JobId,
-        t: TaskId,
-        ready: f64,
-        deadline: f64,
-        duration: f64,
+        req: &TaskRequest,
         durations: &[f64],
         finish: &[f64],
-    ) -> Option<CoreId> {
-        let children: Vec<TaskId> = graph.successors(t).collect();
-        let mut best: Option<(f64, f64, CoreId)> = None;
+    ) -> Option<(CoreId, f64)> {
+        let children: Vec<TaskId> = graph.successors(req.task).collect();
+        let mut best: Option<(f64, f64, CoreId, f64)> = None;
         for (c, plan) in scratch.iter().enumerate() {
-            let start = match plan.earliest_fit(ready, deadline, duration) {
+            let start = match plan.earliest_fit(req.release, req.deadline, req.duration) {
                 Some(s) => s,
                 None => continue,
             };
-            let own_eft = start + duration;
+            let own_eft = start + req.duration;
             // Tentatively occupy the slot and score each child's best EFT.
             let mut tentative: Vec<SchedulePlan> = scratch.to_vec();
             let r = Reservation {
-                job,
-                task: t,
+                job: req.job,
+                task: req.task,
                 start,
                 end: own_eft,
             };
@@ -445,9 +418,13 @@ impl SiteScheduler {
                     .predecessors(child)
                     .map(|p| finish[p.0])
                     .fold(own_eft, f64::max);
-                let child_eft =
-                    Self::best_single_fit(&tentative, child_ready, deadline, durations[child.0])
-                        .map(|(_, _, f)| f);
+                let child_eft = Self::best_single_fit(
+                    &tentative,
+                    child_ready,
+                    req.deadline,
+                    durations[child.0],
+                )
+                .map(|(_, _, f)| f);
                 match child_eft {
                     Some(f) => score = score.max(f),
                     None => {
@@ -458,16 +435,16 @@ impl SiteScheduler {
             }
             let better = match best {
                 None => true,
-                Some((s, e, _)) => {
+                Some((s, e, _, _)) => {
                     score < s - TIME_EPS
                         || ((score - s).abs() <= TIME_EPS && e > own_eft + TIME_EPS)
                 }
             };
             if better {
-                best = Some((score, own_eft, c));
+                best = Some((score, own_eft, c, start));
             }
         }
-        best.map(|(_, _, c)| c)
+        best.map(|(_, _, c, start)| (c, start))
     }
 
     /// Peak-memory check: with the new holds added to the committed ledger,
@@ -541,28 +518,6 @@ impl Scheduler for SiteScheduler {
         demands: Option<&[TaskDemand]>,
     ) -> Option<DagSchedule> {
         let graph = &job.graph;
-        // Degenerate fast path: the paper's single-plan admission, verbatim.
-        if self.kind == SchedulerKind::Protocol && self.is_single_core() && demands.is_none() {
-            let adm = admit_dag_locally(
-                &self.cores[0],
-                job,
-                now,
-                self.effective_speed(),
-                self.preemptive,
-            )?;
-            return Some(DagSchedule {
-                placements: adm
-                    .reservations
-                    .into_iter()
-                    .map(|reservation| Placement {
-                        core: 0,
-                        reservation,
-                    })
-                    .collect(),
-                holds: Vec::new(),
-                completion: adm.completion,
-            });
-        }
         let start_floor = now.max(job.release());
         if graph.task_count() == 0 {
             return Some(DagSchedule {
@@ -595,38 +550,36 @@ impl Scheduler for SiteScheduler {
                 .predecessors(t)
                 .map(|p| finish[p.0])
                 .fold(start_floor, f64::max);
+            let req = TaskRequest {
+                job: job.id,
+                task: t,
+                release: ready,
+                deadline,
+                duration,
+            };
+            // One contiguous slot of this task starting at `start`.
+            let slot = |start: f64| Reservation {
+                job: job.id,
+                task: t,
+                start,
+                end: start + duration,
+            };
             let end = if k > 1 {
                 // Gang tasks occupy k cores for one contiguous slot (no
                 // preemptive splitting for gangs).
                 let (gang, start) =
                     Self::earliest_gang_fit(&scratch, ready, deadline, duration, k)?;
-                for &core in &gang {
-                    let r = Reservation {
-                        job: job.id,
-                        task: t,
-                        start,
-                        end: start + duration,
-                    };
-                    scratch[core].insert(r).ok()?;
-                    placements.push(Placement {
-                        core,
-                        reservation: r,
-                    });
+                for core in gang {
+                    Self::place_on(&mut scratch, &mut placements, core, slot(start))?;
                 }
                 start + duration
+            } else if self.kind == SchedulerKind::Lookahead && !self.preemptive {
+                let (core, start) =
+                    Self::lookahead_fit(&scratch, graph, &req, &durations, &finish)?;
+                Self::place_on(&mut scratch, &mut placements, core, slot(start))?;
+                start + duration
             } else {
-                self.place_single(
-                    &mut scratch,
-                    graph,
-                    job.id,
-                    t,
-                    ready,
-                    deadline,
-                    duration,
-                    &durations,
-                    &finish,
-                    &mut placements,
-                )?
+                self.place_request(&mut scratch, &req, &mut placements)?
             };
             if end > deadline + TIME_EPS {
                 return None;
@@ -659,25 +612,11 @@ impl Scheduler for SiteScheduler {
     }
 
     fn satisfiable(&self, requests: &[TaskRequest]) -> Option<Vec<Placement>> {
-        // Degenerate fast path: the paper's §10 test, verbatim.
-        if self.is_single_core() {
-            return feasibility::satisfiable(&self.cores[0], requests, self.preemptive).map(
-                |reservations| {
-                    reservations
-                        .into_iter()
-                        .map(|reservation| Placement {
-                            core: 0,
-                            reservation,
-                        })
-                        .collect()
-                },
-            );
-        }
         if requests.iter().any(|r| !r.is_well_formed()) {
             return None;
         }
-        // Multicore EDF: the same deterministic order as the single-plan
-        // test, each request placed on the core with the earliest fit.
+        // Earliest deadline first (ties by release, task id, job id): each
+        // request in turn goes to the core with the earliest fit.
         let mut ordered: Vec<&TaskRequest> = requests.iter().collect();
         ordered.sort_by(|a, b| {
             a.deadline
@@ -690,47 +629,7 @@ impl Scheduler for SiteScheduler {
         let mut scratch = self.cores.clone();
         let mut placed = Vec::new();
         for req in ordered {
-            if self.preemptive {
-                let mut best: Option<(CoreId, Vec<TimeInterval>, f64)> = None;
-                for (c, plan) in scratch.iter().enumerate() {
-                    if let Some(chunks) =
-                        plan.earliest_fit_preemptive(req.release, req.deadline, req.duration)
-                    {
-                        let end = chunks.last().map_or(req.release, |ch| ch.end);
-                        if best.as_ref().map_or(true, |(_, _, e)| end < *e - TIME_EPS) {
-                            best = Some((c, chunks, end));
-                        }
-                    }
-                }
-                let (core, chunks, _) = best?;
-                for chunk in chunks {
-                    let r = Reservation {
-                        job: req.job,
-                        task: req.task,
-                        start: chunk.start,
-                        end: chunk.end,
-                    };
-                    scratch[core].insert(r).ok()?;
-                    placed.push(Placement {
-                        core,
-                        reservation: r,
-                    });
-                }
-            } else {
-                let (core, start, _) =
-                    Self::best_single_fit(&scratch, req.release, req.deadline, req.duration)?;
-                let r = Reservation {
-                    job: req.job,
-                    task: req.task,
-                    start,
-                    end: start + req.duration,
-                };
-                scratch[core].insert(r).ok()?;
-                placed.push(Placement {
-                    core,
-                    reservation: r,
-                });
-            }
+            self.place_request(&mut scratch, req, &mut placed)?;
         }
         Some(placed)
     }
@@ -918,30 +817,6 @@ mod tests {
         }
         assert_eq!(SchedulerKind::parse("nope"), None);
         assert_eq!(SchedulerKind::default(), SchedulerKind::Protocol);
-    }
-
-    #[test]
-    fn single_core_protocol_delegates_verbatim() {
-        let sched = SiteScheduler::new(
-            SchedulerKind::Protocol,
-            SiteResources::single_core(1.5),
-            2.0,
-            false,
-        );
-        let job = job_from(chain(&[6.0, 9.0]), 0.0, 20.0);
-        let via_trait = sched.admit_dag(&job, 0.0, None).unwrap();
-        let direct = admit_dag_locally(&SchedulePlan::new(), &job, 0.0, 3.0, false).unwrap();
-        assert_eq!(via_trait.completion, direct.completion);
-        let got: Vec<Reservation> = via_trait.placements.iter().map(|p| p.reservation).collect();
-        assert_eq!(got, direct.reservations);
-        assert!(via_trait.placements.iter().all(|p| p.core == 0));
-
-        // §10 delegation.
-        let requests = vec![req(0, 0.0, 10.0, 4.0), req(1, 0.0, 8.0, 3.0)];
-        let via_trait = sched.satisfiable(&requests).unwrap();
-        let direct = feasibility::satisfiable(&SchedulePlan::new(), &requests, false).unwrap();
-        let got: Vec<Reservation> = via_trait.iter().map(|p| p.reservation).collect();
-        assert_eq!(got, direct);
     }
 
     #[test]

@@ -5,8 +5,7 @@
 use proptest::prelude::*;
 use rtds_graph::generators::{CostDistribution, DagGenerator, DagShape, GeneratorConfig};
 use rtds_graph::{JobId, TaskId};
-use rtds_sched::admission::admit_dag_locally;
-use rtds_sched::feasibility::{satisfiable, TaskRequest};
+use rtds_sched::feasibility::TaskRequest;
 use rtds_sched::plan::{Reservation, SchedulePlan};
 use rtds_sched::{
     brute_force_satisfiable, Scheduler, SchedulerKind, SiteResources, SiteScheduler, TimeInterval,
@@ -26,6 +25,18 @@ fn plan_from_pairs(pairs: &[(f64, f64)]) -> SchedulePlan {
         let _ = plan.insert(r);
     }
     plan
+}
+
+/// A one-core protocol site holding `plan` — the paper's single-site model.
+fn one_core(plan: &SchedulePlan, preemptive: bool) -> SiteScheduler {
+    SiteScheduler::from_parts(
+        SchedulerKind::Protocol,
+        SiteResources::default(),
+        1.0,
+        preemptive,
+        vec![plan.clone()],
+        Vec::new(),
+    )
 }
 
 fn arbitrary_busy() -> impl Strategy<Value = Vec<(f64, f64)>> {
@@ -137,7 +148,9 @@ proptest! {
                 duration,
             })
             .collect();
-        if let Some(placed) = satisfiable(&plan, &requests, preemptive) {
+        if let Some(placements) = one_core(&plan, preemptive).satisfiable(&requests) {
+            prop_assert!(placements.iter().all(|p| p.core == 0));
+            let placed: Vec<Reservation> = placements.iter().map(|p| p.reservation).collect();
             // Every placement is inside its own request window and on idle time.
             let mut check = plan.clone();
             for r in &placed {
@@ -178,13 +191,14 @@ proptest! {
         let mut generator = DagGenerator::new(cfg, seed);
         let job = generator.generate_job(0, 10.0);
         let plan = plan_from_pairs(&pairs);
-        if let Some(adm) = admit_dag_locally(&plan, &job, 0.0, 1.0, preemptive) {
+        if let Some(adm) = one_core(&plan, preemptive).admit_dag(&job, 0.0, None) {
             prop_assert!(adm.completion <= job.deadline() + 1e-6);
+            prop_assert!(adm.placements.iter().all(|p| p.core == 0));
             // Build per-task finish times and verify precedence.
             let mut finish = vec![0.0f64; job.graph.task_count()];
             let mut start = vec![f64::INFINITY; job.graph.task_count()];
             let mut check = plan.clone();
-            for r in &adm.reservations {
+            for r in adm.placements.iter().map(|p| &p.reservation) {
                 prop_assert!(r.start + 1e-9 >= job.release());
                 prop_assert!(r.end <= job.deadline() + 1e-6);
                 finish[r.task.0] = finish[r.task.0].max(r.end);
@@ -198,7 +212,7 @@ proptest! {
                 }
             }
             // Total reserved time equals the total cost (unit speed).
-            let reserved: f64 = adm.reservations.iter().map(|r| r.duration()).sum();
+            let reserved: f64 = adm.placements.iter().map(|p| p.reservation.duration()).sum();
             prop_assert!((reserved - job.total_cost()).abs() < 1e-6);
         }
     }

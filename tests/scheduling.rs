@@ -2,9 +2,9 @@
 //! unlimited memory, the protocol scheduler and single-core demands — every
 //! registry scenario must reproduce the pre-multicore sweep bytes exactly,
 //! regardless of thread count. The fixture was recorded immediately before
-//! the `SiteResources`/`Scheduler` refactor landed; any drift here means the
-//! degenerate path no longer delegates verbatim to the single-plan
-//! primitives.
+//! the `SiteResources`/`Scheduler` refactor landed. The one-core case runs
+//! the general `SiteScheduler` code, so any drift here means that code no
+//! longer computes the paper's single-site §5 and §10 tests exactly.
 
 use rtds::core::DemandRule;
 use rtds::scenarios::{builtin_scenarios, run_sweep, Scenario, SweepConfig};

@@ -228,3 +228,70 @@ fn resume_rejects_a_source_shorter_than_the_pulls() {
     let err = resume_diurnal(&doc).unwrap_err();
     assert!(err.contains("ran out"), "{err}");
 }
+
+/// A real mid-run `paper-baseline` checkpoint (seed 7, stopped at t = 80),
+/// parsed so a test can corrupt one node's scheduler section.
+fn batch_checkpoint() -> Json {
+    let scenario = find_scenario("paper-baseline").expect("registry scenario");
+    let mut system = batch_system(&scenario, 7);
+    system.run_until(80.0);
+    Json::parse(&system.checkpoint()).expect("checkpoint parses")
+}
+
+/// The encoded state of node 0.
+fn first_node(doc: &mut Json) -> &mut Json {
+    let Json::Array(nodes) = field(field(doc, "engine"), "nodes") else {
+        panic!("nodes: not an array")
+    };
+    &mut nodes[0]
+}
+
+/// Resumes `doc` as a batch system, rendering any error.
+fn resume_batch(doc: &Json) -> Result<RtdsSystem, String> {
+    RtdsSystem::resume(&doc.render()).map_err(|e| e.to_string())
+}
+
+#[test]
+fn resume_rejects_a_node_without_a_sched_section() {
+    let mut doc = batch_checkpoint();
+    let Json::Object(fields) = first_node(&mut doc) else {
+        panic!("node: not an object")
+    };
+    fields.retain(|(k, _)| k != "sched");
+    let err = resume_batch(&doc)
+        .err()
+        .expect("a node without sched must not restore");
+    assert!(err.contains("sched"), "{err}");
+}
+
+#[test]
+fn resume_rejects_a_sched_section_with_zero_cores() {
+    let mut doc = batch_checkpoint();
+    let sched = field(first_node(&mut doc), "sched");
+    *field(sched, "cores") = Json::UInt(0);
+    *field(sched, "plans") = Json::Array(Vec::new());
+    let err = resume_batch(&doc)
+        .err()
+        .expect("zero cores must not restore");
+    assert!(err.contains("core"), "{err}");
+}
+
+#[test]
+fn resume_rejects_a_sched_section_with_zero_base_speed() {
+    let mut doc = batch_checkpoint();
+    *field(field(first_node(&mut doc), "sched"), "base_speed") = Json::UInt(0.0f64.to_bits());
+    let err = resume_batch(&doc)
+        .err()
+        .expect("zero base speed must not restore");
+    assert!(err.contains("base speed"), "{err}");
+}
+
+#[test]
+fn resume_rejects_a_sched_section_with_negative_speed() {
+    let mut doc = batch_checkpoint();
+    *field(field(first_node(&mut doc), "sched"), "speed") = Json::UInt((-1.0f64).to_bits());
+    let err = resume_batch(&doc)
+        .err()
+        .expect("negative speed must not restore");
+    assert!(err.contains("speed"), "{err}");
+}
