@@ -598,6 +598,29 @@ pub(crate) fn decode_plan(j: &Json, what: &str) -> Result<SchedulePlan, Snapshot
             })
         })
         .collect::<Result<Vec<Reservation>, SnapshotError>>()?;
+    // Plan queries walk reservations in start order and stop early, so a
+    // restored plan must keep the invariant a live one does: finite,
+    // non-negative lengths, sorted by start, no two overlapping.
+    let mut busy_until = f64::NEG_INFINITY;
+    for (i, r) in reservations.iter().enumerate() {
+        if !(r.start.is_finite() && r.end.is_finite() && r.end >= r.start) {
+            return Err(err(format!(
+                "{what}: reservation {i} is malformed ([{}, {}))",
+                r.start, r.end
+            )));
+        }
+        if i > 0 && r.start < reservations[i - 1].start {
+            return Err(err(format!(
+                "{what}: reservation {i} is not sorted by start time"
+            )));
+        }
+        if r.end > r.start && r.start < busy_until {
+            return Err(err(format!(
+                "{what}: reservation {i} overlaps an earlier one"
+            )));
+        }
+        busy_until = busy_until.max(r.end);
+    }
     Ok(SchedulePlan::from_reservations(reservations))
 }
 

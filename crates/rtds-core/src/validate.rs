@@ -16,7 +16,7 @@ use crate::snapshot as snap;
 use rtds_graph::JobId;
 use rtds_net::SiteId;
 use rtds_sched::feasibility::TaskRequest;
-use rtds_sched::{Scheduler, SiteScheduler};
+use rtds_sched::SiteScheduler;
 use rtds_sim::json::Json;
 use rtds_sim::snapshot as sim_snap;
 use rtds_sim::snapshot::SnapshotError;
@@ -34,18 +34,17 @@ pub fn endorsable_with(
 ) -> Vec<usize> {
     assert!(speed > 0.0, "site speed must be positive");
     let mut endorsable = Vec::new();
+    let mut requests = Vec::new();
     for (i, specs) in tasks_per_logical.iter().enumerate() {
-        let requests: Vec<TaskRequest> = specs
-            .iter()
-            .map(|s| TaskRequest {
-                job,
-                task: s.task,
-                release: s.release,
-                deadline: s.deadline,
-                duration: s.cost / speed,
-            })
-            .collect();
-        if scheduler.satisfiable(&requests).is_some() {
+        requests.clear();
+        requests.extend(specs.iter().map(|s| TaskRequest {
+            job,
+            task: s.task,
+            release: s.release,
+            deadline: s.deadline,
+            duration: s.cost / speed,
+        }));
+        if scheduler.is_satisfiable(&requests) {
             endorsable.push(i);
         }
     }

@@ -280,9 +280,9 @@ impl TaskGraph {
         ready.sort_unstable();
         let mut ready: VecDeque<usize> = ready.into();
         let mut order = Vec::with_capacity(n);
+        let mut newly_ready = Vec::new();
         while let Some(u) = ready.pop_front() {
             order.push(TaskId(u));
-            let mut newly_ready = Vec::new();
             for (v, _) in &self.succs[u] {
                 indeg[v.0] -= 1;
                 if indeg[v.0] == 0 {
@@ -291,7 +291,7 @@ impl TaskGraph {
             }
             newly_ready.sort_unstable();
             // Merge while keeping the frontier sorted (frontiers are small).
-            for v in newly_ready {
+            for v in newly_ready.drain(..) {
                 let pos = ready.iter().position(|&x| x > v).unwrap_or(ready.len());
                 ready.insert(pos, v);
             }

@@ -60,8 +60,10 @@ impl TimeInterval {
 /// Subtracts a set of (possibly overlapping, unsorted) busy intervals from a
 /// window, returning the idle sub-windows in increasing time order.
 ///
-/// This is the workhorse of the local scheduler: "idle windows of the plan
-/// over `[from, to)`" is `subtract_busy(window, reservations)`.
+/// This is the reference definition of "idle windows of the plan over
+/// `[from, to)`" ([`SchedulePlan::idle_windows`](crate::plan::SchedulePlan::idle_windows)).
+/// The plan's queries apply the same arithmetic in place, without building
+/// the windows.
 pub fn subtract_busy(window: TimeInterval, busy: &[TimeInterval]) -> Vec<TimeInterval> {
     if window.is_empty() {
         return Vec::new();
@@ -84,14 +86,6 @@ pub fn subtract_busy(window: TimeInterval, busy: &[TimeInterval]) -> Vec<TimeInt
         idle.push(TimeInterval::new(cursor, window.end));
     }
     idle
-}
-
-/// Total idle time inside a window given busy intervals.
-pub fn idle_time(window: TimeInterval, busy: &[TimeInterval]) -> f64 {
-    subtract_busy(window, busy)
-        .iter()
-        .map(|i| i.duration())
-        .sum()
 }
 
 #[cfg(test)]
@@ -140,7 +134,6 @@ mod tests {
                 TimeInterval::new(60.0, 100.0),
             ]
         );
-        assert_eq!(idle_time(window, &busy), 70.0);
     }
 
     #[test]
@@ -156,7 +149,6 @@ mod tests {
             idle,
             vec![TimeInterval::new(0.0, 5.0), TimeInterval::new(45.0, 50.0)]
         );
-        assert_eq!(idle_time(window, &busy), 10.0);
     }
 
     #[test]

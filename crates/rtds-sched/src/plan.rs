@@ -67,7 +67,9 @@ impl std::fmt::Display for PlanError {
 
 impl std::error::Error for PlanError {}
 
-/// The committed schedule of one site, kept sorted by start time.
+/// The committed schedule of one site, kept sorted by start time with no two
+/// reservations overlapping. The queries walk it in that order and stop
+/// early, so the order is what their answers rest on.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct SchedulePlan {
     reservations: Vec<Reservation>,
@@ -120,16 +122,34 @@ impl SchedulePlan {
         if interval.is_empty() {
             return true;
         }
+        // Sorted by start: nothing from the first reservation starting at or
+        // after the interval's end on can overlap it.
         !self
             .reservations
             .iter()
+            .take_while(|r| r.start < interval.end)
             .any(|r| r.interval().overlaps(&interval))
     }
 
     /// Idle windows of the plan inside `[from, to)`.
+    ///
+    /// This is the reference the in-place queries are tested against: they
+    /// walk the same windows lazily instead of building them.
     pub fn idle_windows(&self, from: f64, to: f64) -> Vec<TimeInterval> {
         let busy: Vec<TimeInterval> = self.reservations.iter().map(|r| r.interval()).collect();
         subtract_busy(TimeInterval::new(from, to), &busy)
+    }
+
+    /// The idle windows of [`SchedulePlan::idle_windows`], yielded lazily
+    /// by a cursor over the reservations.
+    fn idle_walk(&self, from: f64, to: f64) -> IdleWalk<'_> {
+        let window = TimeInterval::new(from, to);
+        IdleWalk {
+            rest: &self.reservations,
+            window,
+            cursor: window.start,
+            done: window.is_empty(),
+        }
     }
 
     /// Total busy time inside `[from, to)`.
@@ -152,7 +172,7 @@ impl SchedulePlan {
         if duration == 0.0 {
             return Some(earliest);
         }
-        for window in self.idle_windows(earliest, deadline) {
+        for window in self.idle_walk(earliest, deadline) {
             let start = window.start.max(earliest);
             if start + duration <= window.end + TIME_EPS && start + duration <= deadline + TIME_EPS
             {
@@ -179,7 +199,7 @@ impl SchedulePlan {
         }
         let mut remaining = duration;
         let mut chunks = Vec::new();
-        for window in self.idle_windows(earliest, deadline) {
+        for window in self.idle_walk(earliest, deadline) {
             if remaining <= TIME_EPS {
                 break;
             }
@@ -198,6 +218,13 @@ impl SchedulePlan {
 
     /// Commits a reservation.
     pub fn insert(&mut self, reservation: Reservation) -> Result<(), PlanError> {
+        self.insert_at(reservation).map(|_| ())
+    }
+
+    /// [`SchedulePlan::insert`], returning the index the reservation landed
+    /// at so a tentative insertion can be undone with
+    /// [`SchedulePlan::remove_at`].
+    pub(crate) fn insert_at(&mut self, reservation: Reservation) -> Result<usize, PlanError> {
         if !(reservation.start.is_finite() && reservation.end.is_finite())
             || reservation.end < reservation.start - TIME_EPS
         {
@@ -210,7 +237,18 @@ impl SchedulePlan {
             .reservations
             .partition_point(|r| r.start <= reservation.start);
         self.reservations.insert(pos, reservation);
-        Ok(())
+        Ok(pos)
+    }
+
+    /// Removes the reservation at `index` (see [`SchedulePlan::insert_at`]).
+    pub(crate) fn remove_at(&mut self, index: usize) -> Reservation {
+        self.reservations.remove(index)
+    }
+
+    /// Makes this plan a copy of `other`, reusing this plan's allocation.
+    pub(crate) fn copy_from(&mut self, other: &SchedulePlan) {
+        self.reservations.clear();
+        self.reservations.extend_from_slice(&other.reservations);
     }
 
     /// Commits several reservations atomically: either all succeed or the
@@ -296,6 +334,46 @@ impl SchedulePlan {
         self.reservations
             .windows(2)
             .all(|w| w[0].start <= w[1].start + TIME_EPS && w[0].end <= w[1].start + TIME_EPS)
+    }
+}
+
+/// Lazy idle-window enumeration over a start-sorted plan: the arithmetic of
+/// [`subtract_busy`] (clip each reservation to the window, open a gap when it
+/// starts past the cursor, then advance the cursor to its end) applied in
+/// place, stopping at the first reservation that starts at or after the
+/// window's end. Yields bit for bit the windows of
+/// [`SchedulePlan::idle_windows`].
+struct IdleWalk<'a> {
+    rest: &'a [Reservation],
+    window: TimeInterval,
+    cursor: f64,
+    done: bool,
+}
+
+impl Iterator for IdleWalk<'_> {
+    type Item = TimeInterval;
+
+    fn next(&mut self) -> Option<TimeInterval> {
+        if self.done {
+            return None;
+        }
+        while let Some((r, rest)) = self.rest.split_first() {
+            if r.start >= self.window.end {
+                break;
+            }
+            self.rest = rest;
+            let busy = r.interval().intersect(&self.window);
+            if busy.is_empty() {
+                continue;
+            }
+            let gap_start = self.cursor;
+            self.cursor = self.cursor.max(busy.end);
+            if busy.start > gap_start {
+                return Some(TimeInterval::new(gap_start, busy.start));
+            }
+        }
+        self.done = true;
+        (self.cursor < self.window.end).then(|| TimeInterval::new(self.cursor, self.window.end))
     }
 }
 

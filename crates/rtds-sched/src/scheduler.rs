@@ -27,8 +27,9 @@ use crate::feasibility::TaskRequest;
 use crate::interval::TimeInterval;
 use crate::plan::{PlanError, Reservation, SchedulePlan};
 use crate::resources::{SiteResources, TaskDemand};
-use rtds_graph::{critical_path_tasks, Job, JobId, TaskGraph, TaskId};
+use rtds_graph::{upward_ranks, Job, JobId, TaskGraph, TaskId};
 use serde::{Deserialize, Serialize};
+use std::cell::RefCell;
 
 /// Tolerance mirrored from the plan layer.
 const TIME_EPS: f64 = 1e-9;
@@ -184,6 +185,29 @@ pub trait Scheduler {
     fn mem_used(&self, t: f64) -> f64;
 }
 
+/// Reusable buffers of one admission or satisfiability query (the per-core
+/// scratch plans live beside them in [`QUERY_SCRATCH`]).
+#[derive(Default)]
+struct QueryBuffers {
+    /// Placements made so far.
+    placements: Vec<Placement>,
+    /// Candidate gang start times.
+    candidates: Vec<f64>,
+    /// Request indices in placement order.
+    order: Vec<usize>,
+    /// Per-task durations of the DAG being admitted.
+    durations: Vec<f64>,
+    /// Per-task finish times of the DAG being admitted.
+    finish: Vec<f64>,
+}
+
+thread_local! {
+    /// Working memory shared by every query of the thread: scratch plans are
+    /// refilled from the committed ones and buffers cleared, never shrunk,
+    /// so steady-state queries stop allocating.
+    static QUERY_SCRATCH: RefCell<(Vec<SchedulePlan>, QueryBuffers)> = RefCell::default();
+}
+
 /// Concrete enum-dispatched scheduler: the state shared by all policies
 /// plus the [`SchedulerKind`] selecting the placement rule.
 #[derive(Debug, Clone, PartialEq)]
@@ -252,6 +276,63 @@ impl SiteScheduler {
         self.preemptive
     }
 
+    /// Runs `f` over scratch copies of the committed per-core plans and
+    /// cleared query buffers, all taken from the thread's [`QUERY_SCRATCH`].
+    /// `f` must not start another query.
+    fn with_scratch<T>(&self, f: impl FnOnce(&mut [SchedulePlan], &mut QueryBuffers) -> T) -> T {
+        QUERY_SCRATCH.with(|ws| {
+            let (plans, buffers) = &mut *ws.borrow_mut();
+            let n = self.cores.len();
+            if plans.len() < n {
+                plans.resize_with(n, SchedulePlan::new);
+            }
+            for (scratch, committed) in plans.iter_mut().zip(&self.cores) {
+                scratch.copy_from(committed);
+            }
+            buffers.placements.clear();
+            f(&mut plans[..n], buffers)
+        })
+    }
+
+    /// Places every request, earliest deadline first (ties by release, task
+    /// id, job id), each on the core with the earliest fit; on success hands
+    /// the placements to `done`.
+    fn place_requests<T>(
+        &self,
+        requests: &[TaskRequest],
+        done: impl FnOnce(&[Placement]) -> T,
+    ) -> Option<T> {
+        if requests.iter().any(|r| !r.is_well_formed()) {
+            return None;
+        }
+        self.with_scratch(|scratch, buffers| {
+            let QueryBuffers {
+                placements, order, ..
+            } = buffers;
+            order.clear();
+            order.extend(0..requests.len());
+            order.sort_by(|&a, &b| {
+                let (a, b) = (&requests[a], &requests[b]);
+                a.deadline
+                    .partial_cmp(&b.deadline)
+                    .unwrap()
+                    .then(a.release.partial_cmp(&b.release).unwrap())
+                    .then(a.task.0.cmp(&b.task.0))
+                    .then(a.job.0.cmp(&b.job.0))
+            });
+            for &i in order.iter() {
+                self.place_request(scratch, &requests[i], placements)?;
+            }
+            Some(done(placements))
+        })
+    }
+
+    /// The yes/no form of [`Scheduler::satisfiable`]: the same answer,
+    /// without building the placements.
+    pub fn is_satisfiable(&self, requests: &[TaskRequest]) -> bool {
+        self.place_requests(requests, |_| ()).is_some()
+    }
+
     // ----- placement helpers ------------------------------------------------
 
     /// Earliest single-core fit across all cores under the given selection
@@ -279,21 +360,23 @@ impl SiteScheduler {
 
     /// Earliest gang fit: the earliest start `t >= ready` at which `k`
     /// cores are simultaneously idle over `[t, t + duration)` with
-    /// `t + duration <= deadline`. Returns the occupied cores (lowest ids
-    /// first) and the start.
+    /// `t + duration <= deadline`. The gang is the `k` lowest-id cores idle
+    /// over that window. `candidates` is reused working memory.
     fn earliest_gang_fit(
         cores: &[SchedulePlan],
         ready: f64,
         deadline: f64,
         duration: f64,
         k: usize,
-    ) -> Option<(Vec<CoreId>, f64)> {
+        candidates: &mut Vec<f64>,
+    ) -> Option<f64> {
         if k > cores.len() || duration < 0.0 {
             return None;
         }
         // Candidate starts: the ready time plus every reservation end after
         // it (a gang can only become feasible when some core frees up).
-        let mut candidates: Vec<f64> = vec![ready];
+        candidates.clear();
+        candidates.push(ready);
         for plan in cores {
             for r in plan.reservations() {
                 if r.end > ready + TIME_EPS {
@@ -303,19 +386,13 @@ impl SiteScheduler {
         }
         candidates.sort_by(|a, b| a.partial_cmp(b).unwrap());
         candidates.dedup_by(|a, b| (*a - *b).abs() <= TIME_EPS);
-        for &t in &candidates {
+        for &t in candidates.iter() {
             if t + duration > deadline + TIME_EPS {
                 return None;
             }
             let window = TimeInterval::new(t, t + duration);
-            let idle: Vec<CoreId> = cores
-                .iter()
-                .enumerate()
-                .filter(|(_, p)| p.is_idle(window))
-                .map(|(c, _)| c)
-                .collect();
-            if idle.len() >= k {
-                return Some((idle.into_iter().take(k).collect(), t));
+            if cores.iter().filter(|p| p.is_idle(window)).count() >= k {
+                return Some(t);
             }
         }
         None
@@ -324,7 +401,7 @@ impl SiteScheduler {
     /// Task priorities for the list-scheduling order of this kind.
     fn rank(&self, graph: &TaskGraph) -> Vec<f64> {
         match self.kind {
-            SchedulerKind::Protocol | SchedulerKind::Lookahead => critical_path_tasks(graph).upward,
+            SchedulerKind::Protocol | SchedulerKind::Lookahead => upward_ranks(graph),
             SchedulerKind::Heft => heft_upward_rank(graph),
         }
     }
@@ -387,44 +464,39 @@ impl SiteScheduler {
     /// core id. Falls back to the plain EFT rule for childless tasks.
     /// Returns the chosen core and the task's start on it.
     fn lookahead_fit(
-        scratch: &[SchedulePlan],
+        scratch: &mut [SchedulePlan],
         graph: &TaskGraph,
         req: &TaskRequest,
         durations: &[f64],
         finish: &[f64],
     ) -> Option<(CoreId, f64)> {
-        let children: Vec<TaskId> = graph.successors(req.task).collect();
         let mut best: Option<(f64, f64, CoreId, f64)> = None;
-        for (c, plan) in scratch.iter().enumerate() {
-            let start = match plan.earliest_fit(req.release, req.deadline, req.duration) {
+        for c in 0..scratch.len() {
+            let start = match scratch[c].earliest_fit(req.release, req.deadline, req.duration) {
                 Some(s) => s,
                 None => continue,
             };
             let own_eft = start + req.duration;
-            // Tentatively occupy the slot and score each child's best EFT.
-            let mut tentative: Vec<SchedulePlan> = scratch.to_vec();
+            // Tentatively occupy the slot, score each child's best EFT, then
+            // take exactly that reservation out again.
             let r = Reservation {
                 job: req.job,
                 task: req.task,
                 start,
                 end: own_eft,
             };
-            tentative[c].insert(r).ok()?;
+            let at = scratch[c].insert_at(r).ok()?;
             let mut score = own_eft;
-            for &child in &children {
+            for child in graph.successors(req.task) {
                 // The child's ready time, counting already-placed parents
                 // and this tentative finish (unplaced parents unknown).
                 let child_ready = graph
                     .predecessors(child)
                     .map(|p| finish[p.0])
                     .fold(own_eft, f64::max);
-                let child_eft = Self::best_single_fit(
-                    &tentative,
-                    child_ready,
-                    req.deadline,
-                    durations[child.0],
-                )
-                .map(|(_, _, f)| f);
+                let child_eft =
+                    Self::best_single_fit(scratch, child_ready, req.deadline, durations[child.0])
+                        .map(|(_, _, f)| f);
                 match child_eft {
                     Some(f) => score = score.max(f),
                     None => {
@@ -433,6 +505,7 @@ impl SiteScheduler {
                     }
                 }
             }
+            scratch[c].remove_at(at);
             let better = match best {
                 None => true,
                 Some((s, e, _, _)) => {
@@ -532,106 +605,105 @@ impl Scheduler for SiteScheduler {
         let deadline = job.deadline();
         let default_demand = TaskDemand::default();
         let demand_of = |t: TaskId| demands.map_or(default_demand, |d| d[t.0]);
-        let durations: Vec<f64> = graph
-            .task_ids()
-            .map(|t| demand_of(t).duration(graph.cost(t), self.base_speed, &self.resources))
-            .collect();
         let order = priority_order(graph, &self.rank(graph));
 
-        let mut scratch = self.cores.clone();
-        let mut finish = vec![0.0f64; graph.task_count()];
-        let mut placements = Vec::new();
-        let mut holds = Vec::new();
-        for t in order {
-            let demand = demand_of(t);
-            let k = demand.granted_cores(&self.resources);
-            let duration = durations[t.0];
-            let ready = graph
-                .predecessors(t)
-                .map(|p| finish[p.0])
-                .fold(start_floor, f64::max);
-            let req = TaskRequest {
-                job: job.id,
-                task: t,
-                release: ready,
-                deadline,
-                duration,
-            };
-            // One contiguous slot of this task starting at `start`.
-            let slot = |start: f64| Reservation {
-                job: job.id,
-                task: t,
-                start,
-                end: start + duration,
-            };
-            let end = if k > 1 {
-                // Gang tasks occupy k cores for one contiguous slot (no
-                // preemptive splitting for gangs).
-                let (gang, start) =
-                    Self::earliest_gang_fit(&scratch, ready, deadline, duration, k)?;
-                for core in gang {
-                    Self::place_on(&mut scratch, &mut placements, core, slot(start))?;
+        self.with_scratch(|scratch, buffers| {
+            let QueryBuffers {
+                placements,
+                candidates,
+                durations,
+                finish,
+                ..
+            } = buffers;
+            durations.clear();
+            durations.extend(
+                graph.task_ids().map(|t| {
+                    demand_of(t).duration(graph.cost(t), self.base_speed, &self.resources)
+                }),
+            );
+            finish.clear();
+            finish.resize(graph.task_count(), 0.0);
+            let mut holds = Vec::new();
+            for t in order {
+                let demand = demand_of(t);
+                let k = demand.granted_cores(&self.resources);
+                let duration = durations[t.0];
+                let ready = graph
+                    .predecessors(t)
+                    .map(|p| finish[p.0])
+                    .fold(start_floor, f64::max);
+                let req = TaskRequest {
+                    job: job.id,
+                    task: t,
+                    release: ready,
+                    deadline,
+                    duration,
+                };
+                // One contiguous slot of this task starting at `start`.
+                let slot = |start: f64| Reservation {
+                    job: job.id,
+                    task: t,
+                    start,
+                    end: start + duration,
+                };
+                let end = if k > 1 {
+                    // Gang tasks occupy k cores for one contiguous slot (no
+                    // preemptive splitting for gangs).
+                    let start =
+                        Self::earliest_gang_fit(scratch, ready, deadline, duration, k, candidates)?;
+                    let window = TimeInterval::new(start, start + duration);
+                    let mut ganged = 0;
+                    for core in 0..scratch.len() {
+                        if ganged == k {
+                            break;
+                        }
+                        if scratch[core].is_idle(window) {
+                            Self::place_on(scratch, placements, core, slot(start))?;
+                            ganged += 1;
+                        }
+                    }
+                    start + duration
+                } else if self.kind == SchedulerKind::Lookahead && !self.preemptive {
+                    let (core, start) =
+                        Self::lookahead_fit(scratch, graph, &req, durations, finish)?;
+                    Self::place_on(scratch, placements, core, slot(start))?;
+                    start + duration
+                } else {
+                    self.place_request(scratch, &req, placements)?
+                };
+                if end > deadline + TIME_EPS {
+                    return None;
                 }
-                start + duration
-            } else if self.kind == SchedulerKind::Lookahead && !self.preemptive {
-                let (core, start) =
-                    Self::lookahead_fit(&scratch, graph, &req, &durations, &finish)?;
-                Self::place_on(&mut scratch, &mut placements, core, slot(start))?;
-                start + duration
-            } else {
-                self.place_request(&mut scratch, &req, &mut placements)?
-            };
-            if end > deadline + TIME_EPS {
+                finish[t.0] = end;
+                if demand.memory > 0.0 {
+                    let start = placements
+                        .iter()
+                        .rev()
+                        .take_while(|p| p.reservation.task == t)
+                        .map(|p| p.reservation.start)
+                        .fold(end, f64::min);
+                    holds.push(MemHold {
+                        job: job.id,
+                        start,
+                        end,
+                        bytes: demand.memory,
+                    });
+                }
+            }
+            if !self.memory_fits(&holds) {
                 return None;
             }
-            finish[t.0] = end;
-            if demand.memory > 0.0 {
-                let start = placements
-                    .iter()
-                    .rev()
-                    .take_while(|p| p.reservation.task == t)
-                    .map(|p| p.reservation.start)
-                    .fold(end, f64::min);
-                holds.push(MemHold {
-                    job: job.id,
-                    start,
-                    end,
-                    bytes: demand.memory,
-                });
-            }
-        }
-        if !self.memory_fits(&holds) {
-            return None;
-        }
-        let completion = finish.iter().copied().fold(start_floor, f64::max);
-        Some(DagSchedule {
-            placements,
-            holds,
-            completion,
+            let completion = finish.iter().copied().fold(start_floor, f64::max);
+            Some(DagSchedule {
+                placements: placements.clone(),
+                holds,
+                completion,
+            })
         })
     }
 
     fn satisfiable(&self, requests: &[TaskRequest]) -> Option<Vec<Placement>> {
-        if requests.iter().any(|r| !r.is_well_formed()) {
-            return None;
-        }
-        // Earliest deadline first (ties by release, task id, job id): each
-        // request in turn goes to the core with the earliest fit.
-        let mut ordered: Vec<&TaskRequest> = requests.iter().collect();
-        ordered.sort_by(|a, b| {
-            a.deadline
-                .partial_cmp(&b.deadline)
-                .unwrap()
-                .then(a.release.partial_cmp(&b.release).unwrap())
-                .then(a.task.0.cmp(&b.task.0))
-                .then(a.job.0.cmp(&b.job.0))
-        });
-        let mut scratch = self.cores.clone();
-        let mut placed = Vec::new();
-        for req in ordered {
-            self.place_request(&mut scratch, req, &mut placed)?;
-        }
-        Some(placed)
+        self.place_requests(requests, <[Placement]>::to_vec)
     }
 
     fn reserve(&mut self, placements: &[Placement]) -> Result<(), PlanError> {
@@ -960,7 +1032,7 @@ mod tests {
         assert_eq!(rank[1], 2.0);
         assert_eq!(rank[2], 2.0);
         assert_eq!(rank[0], 1.0 + 10.0 + 2.0);
-        let plain = critical_path_tasks(&g).upward;
+        let plain = upward_ranks(&g);
         assert_eq!(plain[0], 3.0);
     }
 

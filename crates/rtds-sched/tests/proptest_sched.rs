@@ -322,3 +322,126 @@ proptest! {
         }
     }
 }
+
+/// Today's `earliest_fit`, written over the reference `idle_windows`.
+fn reference_fit(plan: &SchedulePlan, earliest: f64, deadline: f64, duration: f64) -> Option<f64> {
+    if duration < 0.0 || earliest + duration > deadline + 1e-9 {
+        return None;
+    }
+    if duration == 0.0 {
+        return Some(earliest);
+    }
+    for window in plan.idle_windows(earliest, deadline) {
+        let start = window.start.max(earliest);
+        if start + duration <= window.end + 1e-9 && start + duration <= deadline + 1e-9 {
+            return Some(start);
+        }
+    }
+    None
+}
+
+/// Today's `earliest_fit_preemptive`, written over the reference
+/// `idle_windows`.
+fn reference_fit_preemptive(
+    plan: &SchedulePlan,
+    earliest: f64,
+    deadline: f64,
+    duration: f64,
+) -> Option<Vec<TimeInterval>> {
+    if duration < 0.0 {
+        return None;
+    }
+    if duration == 0.0 {
+        return Some(Vec::new());
+    }
+    let mut remaining = duration;
+    let mut chunks = Vec::new();
+    for window in plan.idle_windows(earliest, deadline) {
+        if remaining <= 1e-9 {
+            break;
+        }
+        let usable = window.duration().min(remaining);
+        if usable > 1e-9 {
+            chunks.push(TimeInterval::new(window.start, window.start + usable));
+            remaining -= usable;
+        }
+    }
+    (remaining <= 1e-9).then_some(chunks)
+}
+
+/// A time aimed at the plan's edge cases: `kind` 0 picks a reservation's
+/// start, 1 its end, 2 its midpoint (inside the busy interval), anything
+/// else the free value `free`.
+fn anchored(plan: &SchedulePlan, (kind, pick, free): (usize, usize, f64)) -> f64 {
+    let reservations = plan.reservations();
+    if reservations.is_empty() {
+        return free;
+    }
+    let r = reservations[pick % reservations.len()];
+    match kind {
+        0 => r.start,
+        1 => r.end,
+        2 => (r.start + r.end) / 2.0,
+        _ => free,
+    }
+}
+
+fn anchor() -> impl Strategy<Value = (usize, usize, f64)> {
+    (0usize..4, 0usize..12, 0.0f64..250.0)
+}
+
+fn bits(chunks: Option<Vec<TimeInterval>>) -> Option<Vec<(u64, u64)>> {
+    chunks.map(|cs| {
+        cs.iter()
+            .map(|c| (c.start.to_bits(), c.end.to_bits()))
+            .collect()
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The in-place plan walk answers exactly like the reference idle-window
+    /// loop, bit for bit: zero durations, windows whose release, deadline or
+    /// length touch reservation edges, and releases inside busy intervals.
+    #[test]
+    fn in_place_fits_match_the_idle_window_reference(
+        pairs in arbitrary_busy(),
+        release in anchor(),
+        deadline in anchor(),
+        extra in 0.0f64..100.0,
+        deadline_kind in 0usize..2,
+        duration_kind in 0usize..3,
+        free_duration in 0.5f64..30.0,
+    ) {
+        let plan = plan_from_pairs(&pairs);
+        let release = anchored(&plan, release);
+        let deadline = match deadline_kind {
+            0 => anchored(&plan, deadline),
+            _ => release + extra,
+        };
+        let duration = match duration_kind {
+            0 => 0.0,
+            1 => deadline - release,
+            _ => free_duration,
+        };
+        prop_assert_eq!(
+            plan.earliest_fit(release, deadline, duration).map(f64::to_bits),
+            reference_fit(&plan, release, deadline, duration).map(f64::to_bits)
+        );
+        prop_assert_eq!(
+            bits(plan.earliest_fit_preemptive(release, deadline, duration)),
+            bits(reference_fit_preemptive(&plan, release, deadline, duration))
+        );
+        for interval in [
+            TimeInterval::new(release, deadline),
+            TimeInterval::new(release, release + duration),
+        ] {
+            let brute = !plan
+                .reservations()
+                .iter()
+                .any(|r| r.interval().overlaps(&interval));
+            prop_assert_eq!(plan.is_idle(interval), interval.is_empty() || brute);
+        }
+    }
+}

@@ -295,3 +295,63 @@ fn resume_rejects_a_sched_section_with_negative_speed() {
         .expect("negative speed must not restore");
     assert!(err.contains("speed"), "{err}");
 }
+
+/// The reservations of the first core plan in `doc` holding at least two.
+fn busy_plan(doc: &mut Json) -> &mut Vec<Json> {
+    let Json::Array(nodes) = field(field(doc, "engine"), "nodes") else {
+        panic!("nodes: not an array")
+    };
+    nodes
+        .iter_mut()
+        .flat_map(|node| match field(field(node, "sched"), "plans") {
+            Json::Array(plans) => plans.iter_mut(),
+            _ => panic!("plans: not an array"),
+        })
+        .find_map(|plan| match plan {
+            Json::Array(reservations) if reservations.len() >= 2 => Some(reservations),
+            _ => None,
+        })
+        .expect("the checkpoint holds a plan with two reservations")
+}
+
+/// Field `i` of an encoded `[job, task, start, end]` reservation.
+fn reservation_field(reservation: &mut Json, i: usize) -> &mut Json {
+    let Json::Array(fields) = reservation else {
+        panic!("reservation: not an array")
+    };
+    &mut fields[i]
+}
+
+#[test]
+fn resume_rejects_an_unsorted_plan() {
+    let mut doc = batch_checkpoint();
+    busy_plan(&mut doc).reverse();
+    let err = resume_batch(&doc)
+        .err()
+        .expect("an unsorted plan must not restore");
+    assert!(err.contains("sorted"), "{err}");
+}
+
+#[test]
+fn resume_rejects_overlapping_reservations() {
+    let mut doc = batch_checkpoint();
+    let plan = busy_plan(&mut doc);
+    let start = reservation_field(&mut plan[0], 2).clone();
+    *reservation_field(&mut plan[1], 2) = start;
+    let err = resume_batch(&doc)
+        .err()
+        .expect("overlapping reservations must not restore");
+    assert!(err.contains("overlaps"), "{err}");
+}
+
+#[test]
+fn resume_rejects_a_non_finite_or_negative_length_reservation() {
+    for end in [f64::NAN, f64::INFINITY, -1.0] {
+        let mut doc = batch_checkpoint();
+        *reservation_field(&mut busy_plan(&mut doc)[0], 3) = Json::UInt(end.to_bits());
+        let err = resume_batch(&doc)
+            .err()
+            .unwrap_or_else(|| panic!("a reservation ending at {end} must not restore"));
+        assert!(err.contains("malformed"), "{err}");
+    }
+}
